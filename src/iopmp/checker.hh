@@ -171,9 +171,9 @@ class CheckerLogic
     //! Optional acceleration layer (plans + verdict cache). Mutable
     //! for the same reason as TreeChecker's scratch buffers: check()
     //! is logically const but the cache state evolves. Not
-    //! thread-safe across concurrent checks of one instance — under
-    //! the parallel engine each CheckerNode checks through its own
-    //! replica (CheckerNode::syncLogic).
+    //! thread-safe across concurrent checks of one instance; each
+    //! CheckerNode checks through its own replica
+    //! (CheckerNode::syncLogic).
     mutable std::unique_ptr<CheckAccel> accel_;
     std::string accel_stats_name_ = "check_accel";
 };

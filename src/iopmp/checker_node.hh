@@ -110,8 +110,8 @@ class CheckerNode : public Tickable
      * configured checker (kind, stages, accelerator enablement). Each
      * node checks through its own replica — verdicts are bit-identical
      * by construction (pure function of the shared tables) while the
-     * replica's mutable scratch/cache state stays domain-private, so
-     * checker nodes in different tick domains never contend.
+     * replica's scratch/cache state and its "<node>.accel" statistics
+     * stay per node.
      */
     void syncLogic();
 

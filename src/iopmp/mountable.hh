@@ -77,10 +77,9 @@ class ExtendedTable
     unsigned maxEntriesPerRecord() const { return max_entries_; }
     const mem::Range &region() const { return region_; }
 
-    /** Total 64-bit loads served since construction. Loads from
-     * concurrent tick domains are counted atomically (the sum is
-     * order-independent, so totals stay bit-identical to a sequential
-     * run); reads are taken between cycles or after the run. */
+    /** Total 64-bit loads served since construction. Counted
+     * atomically, like stats::Scalar; reads are taken between cycles
+     * or after the run. */
     std::uint64_t
     totalLoads() const
     {
@@ -116,9 +115,8 @@ class ExtendedTable
     unsigned max_entries_;
     std::unordered_map<DeviceId, std::size_t> index_; //!< device -> slot
     std::vector<bool> slot_used_;
-    //! Bumped from const find(): callers in different tick domains
-    //! (checker-node replicas, firmware) may load concurrently, so the
-    //! counter must be atomic — same rationale as stats::Scalar.
+    //! Bumped from const find(), hence mutable; atomic for the same
+    //! reason as stats::Scalar.
     mutable std::atomic<std::uint64_t> total_loads_{0};
 };
 

@@ -40,14 +40,6 @@ class DeviceId2SidCam
     /** Lookup without touching the use bit (diagnostics/tests). */
     std::optional<Sid> peek(DeviceId device) const;
 
-    /**
-     * Set the use bit of the row mapping @p device, if any — the LRU
-     * side effect of lookup() taken separately, so callers running in
-     * a concurrent tick phase can peek() immediately and defer the
-     * shared-state touch to the sequential main section.
-     */
-    void touch(DeviceId device);
-
     /** Explicit switching: bind @p device to row @p sid. Returns the
      * device previously mapped there, if any. */
     std::optional<DeviceId> set(Sid sid, DeviceId device);

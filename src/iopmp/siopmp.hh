@@ -101,11 +101,8 @@ class SIopmp : public mem::MmioDevice
      * effect (SID-missing on unknown device, violation on deny).
      *
      * @p logic optionally substitutes the permission-check stage (a
-     * CheckerNode's private replica under the parallel engine; the
-     * verdict is bit-identical by construction). Inside a concurrent
-     * tick phase the shared side effects — CAM use-bit touch,
-     * violation latch, interrupt delivery — are deferred to the
-     * end-of-cycle main section; the returned verdict is unaffected.
+     * CheckerNode's private replica; the verdict is bit-identical by
+     * construction).
      */
     AuthResult authorize(DeviceId device, Addr addr, Addr len, Perm perm,
                          Cycle now = 0,
@@ -186,10 +183,6 @@ class SIopmp : public mem::MmioDevice
   private:
     void raise(const Irq &irq);
 
-    /** The real register-write logic behind mmioWrite (which defers
-     * here from concurrent tick phases). */
-    void applyMmioWrite(Addr offset, std::uint64_t value);
-
     /** Note one rejected MMIO config write at @p offset. */
     void rejectWrite(Addr offset);
 
@@ -209,8 +202,7 @@ class SIopmp : public mem::MmioDevice
     stats::Group stats_;
     //! Hot-path counters, resolved once in the ctor: scalar() does a
     //! map lookup and its first call inserts — neither belongs on the
-    //! per-check path, and lazy insertion would race under the
-    //! parallel engine.
+    //! per-check path.
     stats::Scalar *st_checks_;
     stats::Scalar *st_sid_misses_;
     stats::Scalar *st_blocked_;

@@ -61,11 +61,6 @@ struct IopmpConfig {
  *  - every MMIO path and every direct call routes through the same
  *    table mutators, so listening is complete by construction;
  *  - a callback must not register or unregister listeners.
- *
- * Under the parallel engine, mutations (and therefore callbacks) only
- * happen in the single-threaded main section — never concurrently
- * with tick-phase reads — matching the existing deferral rules for
- * MMIO writes.
  */
 class TableListener
 {
@@ -107,8 +102,7 @@ class EntryTable
      * Register @p listener for mutation callbacks (see TableListener).
      * Const because observer membership is not logical table state —
      * read-only consumers (checkers, accelerators holding const refs)
-     * must be able to subscribe. Thread-safe: per-node checker
-     * replicas may be (re)built inside concurrent tick phases.
+     * must be able to subscribe. Registration is mutex-protected.
      */
     void addListener(TableListener *listener) const;
     void removeListener(TableListener *listener) const;

@@ -10,8 +10,7 @@
  * decoupled from the stat containers through the StatsVisitor
  * interface; TextStatsWriter reproduces the classic "group.stat value"
  * line format and JsonStatsWriter emits a machine-readable document
- * with identical coverage. The old ostream-coupled Group::dump remains
- * as a deprecated shim for one release.
+ * with identical coverage.
  */
 
 #ifndef SIM_STATS_HH
@@ -31,9 +30,9 @@ namespace stats {
 
 /**
  * Monotonically increasing counter. Increments are atomic so counters
- * shared across tick domains (e.g. a centralized IOPMP's check count)
- * stay exact under the parallel engine; integer-valued sums are
- * order-independent, so totals remain bit-identical to a sequential
+ * stay exact when several threads share them (siopmp_fuzz --jobs runs
+ * simulations on worker threads); integer-valued sums are
+ * order-independent, so totals remain bit-identical to a single-thread
  * run. Reads (value()) are not synchronized against writers — callers
  * read between cycles or after the run, as before.
  */
@@ -217,11 +216,6 @@ class Group
 
     /** Visit every stat in registration order (between begin/endGroup). */
     void accept(StatsVisitor &visitor) const;
-
-    /** Write all stats as "group.stat value" lines. */
-    [[deprecated("use accept() with a TextStatsWriter; see "
-                 "docs/OBSERVABILITY.md")]]
-    void dump(std::ostream &os) const;
 
     /** Reset every stat in the group. */
     void resetAll();

@@ -125,7 +125,6 @@ runArm(const HotColdConfig &cfg, Arm arm, std::uint64_t *switches,
     dev::DmaEngine cold("cold", kColdDevice, bench.soc.masterLink(1));
     bench.soc.addDevice(&hot, 0);
     bench.soc.addDevice(&cold, 1);
-    bench.soc.setThreads(cfg.sim_threads);
 
     dev::DmaJob hot_job;
     hot_job.kind = dev::DmaKind::Read;

@@ -43,7 +43,6 @@ runBurstLatency(const BurstLatencyConfig &cfg)
                                : iopmp::CheckerKind::Tree;
     soc_cfg.checker_stages = cfg.stages;
     soc_cfg.policy = cfg.policy;
-    soc_cfg.sim_threads = cfg.sim_threads;
     soc::Soc soc(soc_cfg);
 
     dev::DmaEngine engine("dma0", /*device=*/1, soc.masterLink(0));
@@ -74,7 +73,6 @@ runBandwidth(const BandwidthConfig &cfg)
                                : iopmp::CheckerKind::Tree;
     soc_cfg.checker_stages = cfg.stages;
     soc_cfg.policy = cfg.policy;
-    soc_cfg.sim_threads = cfg.sim_threads;
     soc::Soc soc(soc_cfg);
 
     dev::DmaEngine node0("dma0", 1, soc.masterLink(0));

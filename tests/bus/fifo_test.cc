@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "bus/fifo.hh"
-#include "sim/exec_context.hh"
 
 namespace siopmp {
 namespace bus {
@@ -103,184 +102,17 @@ TEST(Fifo, ResetClearsEverything)
     EXPECT_TRUE(f.canPush());
 }
 
-// ---------------------------------------------------------------------------
-// Latency L >= 2: timestamped maturity and credit-based backpressure.
-// The latency-aware paths read simctx::currentCycle(); unit tests pin
-// it with CycleGuard.
-// ---------------------------------------------------------------------------
-
-TEST(FifoLatency, ItemVisibleExactlyLatencyClocksAfterPush)
+TEST(Fifo, SettledCoversStagedAndReadableItems)
 {
-    Fifo<int> f(4, 3);
-    {
-        simctx::CycleGuard at(10);
-        f.push(42); // matures at 10 + 3 - 1 = 12
-        f.clock();
-        EXPECT_TRUE(f.empty());
-    }
-    {
-        simctx::CycleGuard at(11);
-        f.clock();
-        EXPECT_TRUE(f.empty());
-    }
-    {
-        simctx::CycleGuard at(12);
-        f.clock();
-        ASSERT_FALSE(f.empty());
-        EXPECT_EQ(f.front(), 42);
-    }
-}
-
-TEST(FifoLatency, LateClockStillDeliversMaturedItems)
-{
-    // A consumer that slept past the maturity cycle catches up on its
-    // next clock: maturity is a timestamp, not a countdown of clocks.
-    Fifo<int> f(4, 2);
-    {
-        simctx::CycleGuard at(5);
-        f.push(1);
-        f.push(2);
-    }
-    {
-        simctx::CycleGuard at(9);
-        f.clock();
-        ASSERT_EQ(f.occupancy(), 2u);
-        EXPECT_EQ(f.front(), 1);
-        f.pop();
-        EXPECT_EQ(f.front(), 2);
-    }
-}
-
-TEST(FifoLatency, CreditReturnsLatencyCyclesAfterPop)
-{
-    Fifo<int> f(1, 2);
-    {
-        simctx::CycleGuard at(0);
-        EXPECT_TRUE(f.canPush());
-        f.push(7);
-        EXPECT_FALSE(f.canPush()); // single credit consumed
-    }
-    {
-        simctx::CycleGuard at(1);
-        f.clock();
-        f.pop(); // credit returns at 1 + 2 = 3
-        EXPECT_FALSE(f.canPush());
-    }
-    {
-        simctx::CycleGuard at(2);
-        EXPECT_FALSE(f.canPush());
-    }
-    {
-        simctx::CycleGuard at(3);
-        EXPECT_TRUE(f.canPush());
-    }
-}
-
-TEST(FifoLatency, SustainsOneBeatPerCycleAtDepthTwiceLatency)
-{
-    // depth 2*L: L items maturing toward the consumer plus L credits
-    // in flight back to the producer.
-    constexpr Cycle kL = 3;
-    Fifo<int> f(2 * kL, kL);
-    int pushed = 0, popped = 0;
-    for (Cycle cycle = 0; cycle < 100; ++cycle) {
-        simctx::CycleGuard at(cycle);
-        if (!f.empty()) {
-            f.pop();
-            ++popped;
-        }
-        if (f.canPush()) {
-            f.push(pushed);
-            ++pushed;
-        }
-        f.clock();
-    }
-    EXPECT_GE(popped, 100 - 2 * static_cast<int>(kL));
-}
-
-TEST(FifoLatency, EpochCommitHandoffDefersStagedItems)
-{
-    Fifo<int> f(4, 2);
-    f.setEpochCommit(true);
-    {
-        simctx::CycleGuard at(0);
-        f.push(1); // matures at 1 — inside an epoch [0, 1]
-    }
-    {
-        simctx::CycleGuard at(1);
-        f.clock();
-        // Mid-epoch the consumer must not see the staged item even
-        // though it matured: the producer thread owns that buffer.
-        EXPECT_TRUE(f.empty());
-        EXPECT_TRUE(f.settled());
-    }
-    EXPECT_TRUE(f.commitEpoch(1)); // matured in-epoch -> readable
-    ASSERT_FALSE(f.empty());
-    EXPECT_EQ(f.front(), 1);
-}
-
-TEST(FifoLatency, EpochCommitParksLateItemsUntilMaturity)
-{
-    Fifo<int> f(4, 2);
-    f.setEpochCommit(true);
-    {
-        simctx::CycleGuard at(1);
-        f.push(9); // matures at 2 — after an epoch [0, 1]
-    }
-    EXPECT_TRUE(f.commitEpoch(1)); // parked in the in-flight buffer
-    EXPECT_TRUE(f.empty());
-    EXPECT_FALSE(f.settled()); // owed to the consumer: stay awake
-    {
-        simctx::CycleGuard at(2);
-        f.clock();
-        ASSERT_FALSE(f.empty());
-        EXPECT_EQ(f.front(), 9);
-    }
-}
-
-TEST(FifoLatency, EpochCommitPublishesCreditsAtTheBoundary)
-{
-    Fifo<int> f(1, 2);
-    f.setEpochCommit(true);
-    {
-        simctx::CycleGuard at(0);
-        f.push(5);
-    }
-    f.commitEpoch(1);
-    {
-        simctx::CycleGuard at(2);
-        f.clock();
-        f.pop(); // credit would return at 4
-    }
-    {
-        simctx::CycleGuard at(4);
-        // Consumer-side frees are invisible to the producer until the
-        // scheduler's commitEpoch publishes them.
-        EXPECT_FALSE(f.canPush());
-    }
-    f.commitEpoch(3);
-    {
-        simctx::CycleGuard at(4);
-        EXPECT_TRUE(f.canPush());
-    }
-}
-
-TEST(FifoLatency, SettledTracksEveryBuffer)
-{
-    Fifo<int> f(4, 2);
+    Fifo<int> f(4);
     EXPECT_TRUE(f.settled());
-    {
-        simctx::CycleGuard at(0);
-        f.push(1);
-        EXPECT_FALSE(f.settled()); // staged
-    }
-    {
-        simctx::CycleGuard at(1);
-        f.clock();
-        EXPECT_FALSE(f.settled()); // readable
-        f.pop();
-        EXPECT_TRUE(f.settled());
-    }
+    f.push(1);
+    EXPECT_TRUE(f.empty());
+    EXPECT_FALSE(f.settled()); // staged: owed to the consumer
+    f.clock();
+    EXPECT_FALSE(f.settled()); // readable
+    f.pop();
+    EXPECT_TRUE(f.settled());
 }
 
 TEST(FifoDeath, PushWhenFullAsserts)

@@ -194,9 +194,9 @@ TEST_F(ExtendedTableTest, RegionSizeFloorsToWholeRecords)
 
 TEST_F(ExtendedTableTest, ConcurrentFindersCountLoadsExactly)
 {
-    // Regression (TSan): total_loads_ is bumped from const find() by
-    // checker-node replicas in different tick domains. The counter
-    // must be atomic and the sum exact.
+    // Regression (TSan): total_loads_ is bumped from const find(),
+    // which several threads may call at once. The counter must be
+    // atomic and the sum exact.
     ASSERT_TRUE(table.add(record(5, 2))); // 3 + 2 * 3 = 9 loads
     const auto before = table.totalLoads();
     constexpr unsigned kThreads = 4;

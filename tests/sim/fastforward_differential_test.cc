@@ -10,6 +10,9 @@
  * and all device-side counters. The only allowed difference is
  * idleCyclesSkipped(), which must be zero in naive mode and non-zero
  * under fast-forward (proving the optimization actually engaged).
+ *
+ * Also covered here: determinism — two identical runs produce
+ * byte-identical JSON statistics and trace streams.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include "devices/dma_engine.hh"
 #include "devices/malicious.hh"
 #include "devices/nic.hh"
+#include "sim/trace.hh"
 #include "soc/soc.hh"
 
 namespace siopmp {
@@ -38,6 +42,9 @@ struct RunResult {
     Cycle final_now = 0;
     Cycle idle_skipped = 0;
     std::string stats;
+    std::string stats_json;
+    std::string trace;
+    std::uint64_t trace_events = 0;
 
     std::uint64_t tx_packets = 0;
     std::uint64_t rx_packets = 0;
@@ -91,6 +98,10 @@ runMixedWorkload(bool fast_forward)
     soc.add(&accel);
     soc.add(&dma);
     soc.add(&evil);
+
+    // Trace every event of the run (determinism check).
+    trace::RingBufferSink ring(1u << 18);
+    trace::tracer().setSink(&ring);
 
     auto &unit = soc.iopmp();
     for (MdIndex md = 0; md < unit.config().num_mds; ++md)
@@ -194,10 +205,28 @@ runMixedWorkload(bool fast_forward)
     r.final_now = soc.sim().now();
     r.idle_skipped = soc.sim().idleCyclesSkipped();
 
-    std::ostringstream os;
-    stats::TextStatsWriter writer(os);
-    soc.accept(writer);
-    r.stats = os.str();
+    // Dump the trace while the components (whose names the events
+    // borrow) are still alive, then detach the sink.
+    trace::tracer().setSink(nullptr);
+    r.trace_events = ring.totalRecorded();
+    {
+        std::ostringstream os;
+        ring.dump(os);
+        r.trace = os.str();
+    }
+    {
+        std::ostringstream os;
+        stats::TextStatsWriter writer(os);
+        soc.accept(writer);
+        r.stats = os.str();
+    }
+    {
+        std::ostringstream os;
+        stats::JsonStatsWriter writer(os);
+        soc.accept(writer);
+        writer.finish();
+        r.stats_json = os.str();
+    }
 
     r.tx_packets = nic.txPackets();
     r.rx_packets = nic.rxPackets();
@@ -242,6 +271,10 @@ TEST(FastForwardDifferential, MixedWorkloadBitIdentical)
     // Per-node statistics are byte-identical.
     EXPECT_EQ(ff.stats, naive.stats);
 
+    // The trace event sequence — including its order — is identical.
+    EXPECT_EQ(ff.trace_events, naive.trace_events);
+    EXPECT_EQ(ff.trace, naive.trace);
+
     // Device observables.
     EXPECT_EQ(ff.tx_packets, naive.tx_packets);
     EXPECT_EQ(ff.rx_packets, naive.rx_packets);
@@ -267,6 +300,17 @@ TEST(FastForwardDifferential, MixedWorkloadBitIdentical)
     // fast-forward run skipped the idle gaps.
     EXPECT_EQ(naive.idle_skipped, 0u);
     EXPECT_GT(ff.idle_skipped, 0u);
+}
+
+TEST(FastForwardDifferential, RepeatedRunsAreDeterministic)
+{
+    const RunResult a = runMixedWorkload(true);
+    const RunResult b = runMixedWorkload(true);
+    EXPECT_GT(a.trace_events, 0u);
+    EXPECT_EQ(a.final_now, b.final_now);
+    EXPECT_EQ(a.stats_json, b.stats_json);
+    EXPECT_EQ(a.trace_events, b.trace_events);
+    EXPECT_EQ(a.trace, b.trace);
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -247,6 +248,78 @@ TEST(FastForward, AdvancePhaseMatchesEvaluatePhase)
     sim.events().scheduleWake(40, &s);
     sim.run(200);
     EXPECT_EQ(s.evals, s.advs);
+}
+
+/** Calls an arbitrary action from its evaluate() at one chosen cycle. */
+class Mutator : public Tickable
+{
+  public:
+    Mutator(Cycle when, std::function<void()> action)
+        : Tickable("mutator"), when_(when), action_(std::move(action))
+    {
+    }
+
+    void
+    evaluate(Cycle now) override
+    {
+        if (now == when_)
+            action_();
+    }
+    void advance(Cycle) override {}
+
+  private:
+    Cycle when_;
+    std::function<void()> action_;
+};
+
+TEST(Simulator, MidTickRemoveIsDeferred)
+{
+    // Regression: remove() from inside the naive loop's evaluate phase
+    // used to mutate the component list while the loop iterated it.
+    // The victim registers after the remover, so an inline erase would
+    // have shifted the vector under the running loop.
+    Simulator sim;
+    sim.setFastForward(false);
+    Sleeper victim;
+    victim.sleepy = false;
+    Mutator remover(3, [&] { sim.remove(&victim); });
+    sim.add(&remover);
+    sim.add(&victim);
+    sim.run(10);
+
+    // The victim completes the cycle of its removal, then stops.
+    EXPECT_EQ(victim.evals, 4u);
+    EXPECT_EQ(victim.advs, 4u);
+    EXPECT_EQ(sim.components(), 1u);
+}
+
+TEST(FastForward, MidTickRemoveAndWakeLandInTickOrder)
+{
+    // A busy victim is removed from another component's evaluate() at
+    // cycle 6; a quiescent sleeper registered before its waker is woken
+    // from the waker's evaluate() at cycle 10.
+    Simulator sim;
+    sim.setFastForward(true);
+    Sleeper sleeper;
+    Sleeper victim;
+    victim.sleepy = false;
+    Mutator remover(6, [&] { sim.remove(&victim); });
+    Mutator waker(10, [&] { sim.wake(&sleeper); });
+    sim.add(&sleeper);
+    sim.add(&victim);
+    sim.add(&remover);
+    sim.add(&waker);
+    sim.run(20);
+
+    // The victim still completes the cycle the removal was issued in
+    // (cycles 0..6 inclusive).
+    EXPECT_EQ(victim.evals, 7u);
+    EXPECT_EQ(victim.advs, 7u);
+    // The sleeper ticks cycles 0-1 and retires; the cycle-10 wake comes
+    // after its evaluate slot, so it buys a same-cycle advance plus a
+    // full cycle-11 tick.
+    EXPECT_EQ(sleeper.evals, 3u);
+    EXPECT_EQ(sleeper.advs, 4u);
 }
 
 } // namespace
