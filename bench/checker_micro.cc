@@ -13,9 +13,9 @@
  *    these benchmarks guard the baseline walk cost);
  *  - `--json OUT [--checks N]`: emit BENCH_checker.json — a saturated
  *    128-SID check stream replayed against every checker kind x entry
- *    count x {cache off, cache on}, reporting ns/check, simulated
+ *    count x {accel off, accel plans}, reporting ns/check, simulated
  *    seconds per million cycles (one check per simulated beat cycle)
- *    and the on/off speedup; plus a "churn" series where the entry
+ *    and the plans/off speedup; plus a "churn" series where the entry
  *    table is rewritten every N checks (mutation:check ratios 1:10,
  *    1:100, 1:1000) under sparse per-SID MD bitmaps — the workload
  *    per-MD incremental invalidation exists for. Schema is validated
@@ -110,10 +110,8 @@ BM_MtChecker3Stage(benchmark::State &state)
 /**
  * Saturated check stream at paper scale: 128 SIDs, each with its own
  * MD bitmap, issuing bursts over a bounded per-SID address pool (DMA
- * streams revisit their buffers — that temporal locality is exactly
- * what the verdict cache exploits; plan compilation alone carries the
- * speedup when it is absent). The stream is a pure function of the
- * seed, so the cache-off and cache-on runs replay identical requests.
+ * streams revisit their buffers). The stream is a pure function of
+ * the seed, so the off and plans runs replay identical requests.
  */
 struct SidStream {
     static constexpr unsigned kSids = 128;
@@ -156,16 +154,15 @@ struct LegResult {
 
 LegResult
 runLeg(CheckerKind kind, unsigned stages, unsigned num_entries,
-       bool cache_on, std::uint64_t checks)
+       AccelMode mode, std::uint64_t checks)
 {
     Fixture fixture(num_entries);
     auto checker = makeChecker(kind, stages, fixture.entries,
                                fixture.mdcfg);
-    checker->setAccelMode(cache_on ? AccelMode::PlansAndCache
-                                   : AccelMode::Off);
+    checker->setAccelMode(mode);
     const SidStream stream(3);
 
-    // Warm-up: page in the tables, compile the plans, fill the cache.
+    // Warm-up: page in the tables and compile the plans.
     const std::uint64_t warmup = checks / 8 + 1;
     for (std::uint64_t i = 0; i < warmup; ++i)
         benchmark::DoNotOptimize(checker->check(stream.request(i)));
@@ -187,8 +184,8 @@ runLeg(CheckerKind kind, unsigned stages, unsigned num_entries,
  * sparse (2-3 of the 63 MDs). That is the realistic sharing shape —
  * a device sees a few domains, not half the machine — and it is what
  * makes per-MD invalidation pay: a mutation inside one MD's window
- * leaves the plans and verdict-cache lines of disjoint bitmaps valid,
- * where the old epoch scheme flushed everything.
+ * leaves the plans of disjoint bitmaps valid, where a global epoch
+ * would flush everything.
  */
 struct ChurnStream {
     static constexpr unsigned kSids = 128;
@@ -231,17 +228,16 @@ struct ChurnStream {
  * Churn leg: the check stream interleaved with an entry rewrite every
  * @p ratio checks (the monitor reprogramming rules under live
  * traffic). The mutation stream is identical across acceleration
- * modes, so off-vs-on replay the same work.
+ * modes, so off and plans replay the same work.
  */
 LegResult
 runChurnLeg(CheckerKind kind, unsigned stages, unsigned num_entries,
-            bool accel_on, std::uint64_t checks, std::uint64_t ratio)
+            AccelMode mode, std::uint64_t checks, std::uint64_t ratio)
 {
     Fixture fixture(num_entries);
     auto checker = makeChecker(kind, stages, fixture.entries,
                                fixture.mdcfg);
-    checker->setAccelMode(accel_on ? AccelMode::PlansAndCache
-                                   : AccelMode::Off);
+    checker->setAccelMode(mode);
     const ChurnStream stream(7);
     Rng mutate_rng(11);
 
@@ -314,29 +310,29 @@ jsonMain(const char *path, std::uint64_t checks)
     for (const KindSpec &spec : kKinds) {
         for (unsigned n : kEntryCounts) {
             const LegResult off =
-                runLeg(spec.kind, spec.stages, n, false, checks);
+                runLeg(spec.kind, spec.stages, n, AccelMode::Off, checks);
             const LegResult on =
-                runLeg(spec.kind, spec.stages, n, true, checks);
+                runLeg(spec.kind, spec.stages, n, AccelMode::Plans, checks);
             const double speedup =
                 on.ns_per_check > 0.0
                     ? off.ns_per_check / on.ns_per_check
                     : 0.0;
-            for (int cached = 0; cached < 2; ++cached) {
-                const LegResult &leg = cached ? on : off;
+            for (int accel = 0; accel < 2; ++accel) {
+                const LegResult &leg = accel ? on : off;
                 std::fprintf(
                     out,
                     "%s    {\"kind\": \"%s\", \"entries\": %u, "
-                    "\"cache\": \"%s\", \"ns_per_check\": %.3f, "
+                    "\"accel\": \"%s\", \"ns_per_check\": %.3f, "
                     "\"s_per_mcycle\": %.6f, \"speedup\": %.3f}",
                     first ? "" : ",\n", spec.name, n,
-                    cached ? "on" : "off", leg.ns_per_check,
+                    accel ? "plans" : "off", leg.ns_per_check,
                     leg.ns_per_check / 1000.0 * 1e-3,
-                    cached ? speedup : 1.0);
+                    accel ? speedup : 1.0);
                 first = false;
             }
             std::fprintf(stderr,
                          "checker_micro: %s entries=%u off=%.1fns "
-                         "on=%.1fns speedup=%.2fx\n",
+                         "plans=%.1fns speedup=%.2fx\n",
                          spec.name, n, off.ns_per_check,
                          on.ns_per_check, speedup);
         }
@@ -351,11 +347,11 @@ jsonMain(const char *path, std::uint64_t checks)
     for (const KindSpec &spec : kKinds) {
         for (std::uint64_t ratio : kRatios) {
             const LegResult off =
-                runChurnLeg(spec.kind, spec.stages, 1024, false, checks,
-                            ratio);
+                runChurnLeg(spec.kind, spec.stages, 1024, AccelMode::Off,
+                            checks, ratio);
             const LegResult on =
-                runChurnLeg(spec.kind, spec.stages, 1024, true, checks,
-                            ratio);
+                runChurnLeg(spec.kind, spec.stages, 1024, AccelMode::Plans,
+                            checks, ratio);
             const double speedup =
                 on.ns_per_check > 0.0
                     ? off.ns_per_check / on.ns_per_check
@@ -369,13 +365,13 @@ jsonMain(const char *path, std::uint64_t checks)
                     "\"ns_per_check\": %.3f, \"speedup\": %.3f}",
                     first ? "" : ",\n", spec.name,
                     static_cast<unsigned long long>(ratio),
-                    accel ? "plans+cache" : "off", leg.ns_per_check,
+                    accel ? "plans" : "off", leg.ns_per_check,
                     accel ? speedup : 1.0);
                 first = false;
             }
             std::fprintf(stderr,
                          "checker_micro: churn %s ratio=1:%llu "
-                         "off=%.1fns on=%.1fns speedup=%.2fx\n",
+                         "off=%.1fns plans=%.1fns speedup=%.2fx\n",
                          spec.name,
                          static_cast<unsigned long long>(ratio),
                          off.ns_per_check, on.ns_per_check, speedup);

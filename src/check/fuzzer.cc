@@ -160,7 +160,7 @@ constexpr OpMix kDefaultMix = {40, 54, 62, 71, 75, 81, 84, 91};
 
 /** Churn: invalidation-relevant mutations (entry commits, MDCFG top
  * moves) dominate, interleaved with ~25% checks, so every check runs
- * against freshly-dirtied plans and verdict-cache lines. */
+ * against freshly-dirtied plans. */
 constexpr OpMix kChurnMix = {35, 43, 58, 64, 66, 68, 70, 75};
 
 /** Decode a register offset for replayable trace printouts. Uses only

@@ -75,7 +75,7 @@ struct FuzzOp {
  * reprograms tables continuously at a high rate relative to traffic —
  * the regime the accelerator's per-MD incremental invalidation
  * exists for — so entry commits and MDCFG top moves dominate, with
- * checks interleaved to catch any stale plan or verdict-cache line.
+ * checks interleaved to catch any stale plan.
  */
 enum class FuzzProfile : std::uint8_t { Default, Churn };
 

@@ -48,7 +48,7 @@ class IovaAllocator
     bool free(Addr iova, unsigned cpu);
 
     std::uint64_t allocated() const { return allocated_; }
-    std::uint64_t cacheHits() const { return cache_hits_; }
+    std::uint64_t magazineHits() const { return cache_hits_; }
     std::uint64_t treeAllocs() const { return tree_allocs_; }
 
   private:

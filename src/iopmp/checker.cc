@@ -76,9 +76,9 @@ makeChecker(CheckerKind kind, unsigned stages, const EntryTable &entries,
     if (!checker)
         panic("unknown checker kind");
     // The one place the process-wide default applies: every
-    // factory-built checker — whether owned by an SIopmp, a
-    // CheckerNode replica, a test or a bench — starts in the same
-    // mode. Callers wanting something else call setAccelMode after.
+    // factory-built checker — whether owned by an SIopmp, a test or a
+    // bench — starts in the same mode. Callers wanting something else
+    // call setAccelMode after.
     checker->setAccelMode(CheckAccel::defaultMode());
     return checker;
 }

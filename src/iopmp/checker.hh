@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "iopmp/accel.hh"
 #include "iopmp/tables.hh"
@@ -75,9 +74,8 @@ class CheckerLogic
     /**
      * Authorize one access. Pure function of tables + request. With
      * the acceleration layer enabled the verdict comes from the
-     * compiled match plan / verdict cache (bit-identical by
-     * construction); otherwise from this checker's own
-     * microarchitectural model.
+     * compiled match plan (bit-identical by construction); otherwise
+     * from this checker's own microarchitectural model.
      */
     CheckResult
     check(const CheckRequest &req) const
@@ -103,30 +101,16 @@ class CheckerLogic
     void
     setAccelMode(AccelMode mode)
     {
-        if (mode == AccelMode::Off) {
+        if (mode == AccelMode::Off)
             accel_.reset();
-        } else if (!accel_) {
-            accel_ = std::make_unique<CheckAccel>(entries_, mdcfg_,
-                                                  accel_stats_name_, mode);
-        } else {
-            accel_->setMode(mode);
-        }
+        else if (!accel_)
+            accel_ = std::make_unique<CheckAccel>(entries_, mdcfg_);
     }
 
     AccelMode
     accelMode() const
     {
-        return accel_ ? accel_->mode() : AccelMode::Off;
-    }
-
-    /**
-     * Name the accelerator's stats group (default "check_accel").
-     * Per-CheckerNode replicas set "<node>.accel" before enabling the
-     * accelerator so concurrent instances report separately.
-     */
-    void setAccelStatsName(std::string name)
-    {
-        accel_stats_name_ = std::move(name);
+        return accel_ ? AccelMode::Plans : AccelMode::Off;
     }
 
     bool accelEnabled() const { return accel_ != nullptr; }
@@ -168,14 +152,11 @@ class CheckerLogic
     const EntryTable &entries_;
     const MdCfgTable &mdcfg_;
 
-    //! Optional acceleration layer (plans + verdict cache). Mutable
-    //! for the same reason as TreeChecker's scratch buffers: check()
-    //! is logically const but the cache state evolves. Not
-    //! thread-safe across concurrent checks of one instance; each
-    //! CheckerNode checks through its own replica
-    //! (CheckerNode::syncLogic).
+    //! Optional acceleration layer (compiled plans). Mutable for the
+    //! same reason as TreeChecker's scratch buffers: check() is
+    //! logically const but the plans are compiled lazily. Not
+    //! thread-safe across concurrent checks of one instance.
     mutable std::unique_ptr<CheckAccel> accel_;
-    std::string accel_stats_name_ = "check_accel";
 };
 
 /** Factory covering every evaluated configuration. */

@@ -48,28 +48,6 @@ CheckerNode::CheckerNode(std::string name, bus::Link *up, bus::Link *down,
     down_->d.bindWake(this);
     if (err_ != nullptr)
         err_->d.bindWake(this);
-    // Build the replica eagerly so its stats group registers in
-    // construction order (deterministic JSON output), never from
-    // inside a concurrent tick phase.
-    syncLogic();
-}
-
-void
-CheckerNode::syncLogic()
-{
-    const CheckerLogic &ref = unit_->checker();
-    if (!logic_ || logic_->kind() != ref.kind() ||
-        logic_->stages() != ref.stages()) {
-        logic_ = makeChecker(ref.kind(), ref.stages(), unit_->entryTable(),
-                             unit_->mdcfg());
-        // The factory-built accelerator carries the default stats
-        // group name; rebuild it under this node's name so concurrent
-        // replicas report separately.
-        logic_->setAccelMode(AccelMode::Off);
-        logic_->setAccelStatsName(name() + ".accel");
-    }
-    if (logic_->accelMode() != ref.accelMode())
-        logic_->setAccelMode(ref.accelMode());
 }
 
 bool
@@ -106,7 +84,6 @@ CheckerNode::acceptRequests(Cycle now)
     // between experiments.
     req_pipe_.configure(requestDelay());
     resp_pipe_.configure(responseDelay());
-    syncLogic();
 
     if (up_->a.empty() || !req_pipe_.canPush())
         return;
@@ -242,21 +219,20 @@ CheckerNode::dispatchRequests(Cycle now)
             // authorize again, re-raising SidMiss — otherwise two cold
             // devices trading the slot stall each other forever.
             pending_miss_.reset();
-            ++stats_.scalar("sid_miss_rearms");
+            ++counter(st_sid_miss_rearms_, "sid_miss_rearms");
         } else {
             return; // still cold and unmounted; stall
         }
     }
 
     const AuthResult auth =
-        unit_->authorize(beat.device, beat.addr, len, perm, now,
-                         logic_.get());
+        unit_->authorize(beat.device, beat.addr, len, perm, now);
 
     switch (auth.status) {
       case AuthStatus::SidMiss:
         pending_miss_ = beat.device;
         pending_miss_epoch_ = unit_->configEpoch();
-        ++stats_.scalar("sid_miss_stalls");
+        ++counter(st_sid_miss_stalls_, "sid_miss_stalls");
         if (trace::on()) {
             trace::Event ev;
             ev.when = now;
@@ -270,7 +246,7 @@ CheckerNode::dispatchRequests(Cycle now)
         return; // stall until mounted
 
       case AuthStatus::Blocked:
-        ++stats_.scalar("block_stalls");
+        ++counter(st_block_stalls_, "block_stalls");
         // Edge: open the §4.1 blocking window on the first stalled
         // cycle; traceResolved() closes it when the head resolves.
         if (!block_window_start_) {
@@ -291,7 +267,7 @@ CheckerNode::dispatchRequests(Cycle now)
         return; // per-SID block: stall (head of this device's stream)
 
       case AuthStatus::Deny:
-        ++stats_.scalar("violations");
+        ++counter(st_violations_, "violations");
         if (policy_ == ViolationPolicy::BusError) {
             if (!err_->a.canPush())
                 return;
@@ -335,7 +311,7 @@ CheckerNode::dispatchRequests(Cycle now)
                              {beat.device, beat.addr, /*violated=*/false});
         }
         down_->a.push(beat);
-        ++stats_.scalar("beats_forwarded");
+        ++counter(st_forwarded_, "beats_forwarded");
         req_pipe_.pop();
         if (block_window_start_ || trace::on())
             traceResolved(beat, now, "allow", auth.entry);
@@ -373,7 +349,7 @@ CheckerNode::forwardResponses(Cycle now)
             if (info->violated) {
                 beat.data = 0; // read clear
                 beat.masked = true;
-                ++stats_.scalar("read_clears");
+                ++counter(st_read_clears_, "read_clears");
             }
             if (beat.last)
                 sid2addr_.release(beat.route, beat.txn);

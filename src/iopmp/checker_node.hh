@@ -23,7 +23,6 @@
 #define IOPMP_CHECKER_NODE_HH
 
 #include <deque>
-#include <memory>
 #include <optional>
 
 #include "bus/link.hh"
@@ -43,7 +42,8 @@ class CheckerNode : public Tickable
      * @param down     link toward the xbar/memory
      * @param err      link toward the error node (BusError policy);
      *                 may be null under PacketMasking
-     * @param unit     the sIOPMP functional state and checker logic
+     * @param unit     the sIOPMP functional state and checker logic;
+     *                 every node checks through the unit's one checker
      * @param monitor  block-state consistency monitor (may be null)
      */
     CheckerNode(std::string name, bus::Link *up, bus::Link *down,
@@ -105,16 +105,6 @@ class CheckerNode : public Tickable
     void dispatchRequests(Cycle now);
     void forwardResponses(Cycle now);
 
-    /**
-     * Keep the node's private checker replica in sync with the unit's
-     * configured checker (kind, stages, accelerator enablement). Each
-     * node checks through its own replica — verdicts are bit-identical
-     * by construction (pure function of the shared tables) while the
-     * replica's scratch/cache state and its "<node>.accel" statistics
-     * stay per node.
-     */
-    void syncLogic();
-
     Cycle requestDelay() const;
     Cycle responseDelay() const;
 
@@ -136,9 +126,6 @@ class CheckerNode : public Tickable
     bus::BusMonitor *monitor_;
     ViolationPolicy policy_;
 
-    //! Private replica of the unit's checker logic (see syncLogic).
-    std::unique_ptr<CheckerLogic> logic_;
-
     DelayPipe req_pipe_;
     DelayPipe resp_pipe_;
     Sid2AddrTable sid2addr_;
@@ -158,7 +145,25 @@ class CheckerNode : public Tickable
     //! stalled on its SID block bit; closed when the head resolves.
     std::optional<Cycle> block_window_start_;
 
+    /** Hot-path counter in @p slot, resolved on its first use:
+     * scalar() is a map lookup (block_stalls alone counts every cycle
+     * a head beat waits on its SID's block bit), while registering in
+     * the ctor would make quiet nodes emit all-zero stats groups. */
+    stats::Scalar &
+    counter(stats::Scalar *&slot, const char *stat_name)
+    {
+        if (slot == nullptr)
+            slot = &stats_.scalar(stat_name);
+        return *slot;
+    }
+
     stats::Group stats_;
+    stats::Scalar *st_forwarded_ = nullptr;
+    stats::Scalar *st_violations_ = nullptr;
+    stats::Scalar *st_sid_miss_stalls_ = nullptr;
+    stats::Scalar *st_sid_miss_rearms_ = nullptr;
+    stats::Scalar *st_block_stalls_ = nullptr;
+    stats::Scalar *st_read_clears_ = nullptr;
 };
 
 } // namespace iopmp

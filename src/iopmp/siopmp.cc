@@ -91,7 +91,7 @@ SIopmp::rejectWrite(Addr offset)
 
 AuthResult
 SIopmp::authorize(DeviceId device, Addr addr, Addr len, Perm perm,
-                  Cycle now, const CheckerLogic *logic)
+                  Cycle now)
 {
     ++*st_checks_;
 
@@ -121,7 +121,7 @@ SIopmp::authorize(DeviceId device, Addr addr, Addr len, Perm perm,
     req.perm = perm;
     req.md_bitmap = src2md_.bitmap(sid);
     req.now = now;
-    const CheckResult result = (logic ? logic : checker_.get())->check(req);
+    const CheckResult result = checker_->check(req);
 
     if (result.allowed) {
         ++*st_allows_;

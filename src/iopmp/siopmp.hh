@@ -99,14 +99,9 @@ class SIopmp : public mem::MmioDevice
      * Authorize one DMA access of @p len bytes at @p addr from
      * @p device. Raises interrupts through the handler as a side
      * effect (SID-missing on unknown device, violation on deny).
-     *
-     * @p logic optionally substitutes the permission-check stage (a
-     * CheckerNode's private replica; the verdict is bit-identical by
-     * construction).
      */
     AuthResult authorize(DeviceId device, Addr addr, Addr len, Perm perm,
-                         Cycle now = 0,
-                         const CheckerLogic *logic = nullptr);
+                         Cycle now = 0);
 
     /** Resolve a device to a SID without side effects (tests). */
     std::optional<Sid> resolveSid(DeviceId device) const;
@@ -142,7 +137,8 @@ class SIopmp : public mem::MmioDevice
     /**
      * Select the check-path acceleration mode for this instance,
      * overriding the CheckAccel::defaultMode() the checker was built
-     * with. Survives setChecker().
+     * with. Survives setChecker(). Every CheckerNode checks through
+     * this unit's checker, so the change applies from the next beat.
      */
     void setAccelMode(AccelMode mode);
     AccelMode accelMode() const { return checker_->accelMode(); }
@@ -151,9 +147,9 @@ class SIopmp : public mem::MmioDevice
      * Monotone configuration epoch: bumped by every MMIO path that can
      * change an authorization outcome (entry commit, SRC2MD, MDCFG,
      * CAM remap, block-bitmap word, eSID register) and by cold-device
-     * mount/unmount. Used for trace attribution of cache flushes; the
-     * accelerator's own staleness detection reads the finer-grained
-     * EntryTable/MdCfgTable generations directly, which also cover
+     * mount/unmount. CheckerNode uses it to re-arm a SID-miss stall;
+     * the accelerator's own staleness detection rides on the
+     * EntryTable/MdCfgTable listener callbacks, which also cover
      * direct (non-MMIO) table mutations.
      */
     std::uint64_t configEpoch() const { return config_epoch_; }

@@ -16,7 +16,6 @@
 #define SOC_SOC_HH
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "bus/error_node.hh"
@@ -58,10 +57,6 @@ struct SocConfig {
     mem::MemoryTiming mem_timing;
     bool centralized_checker = false;
     Cycle mmio_access_cost = 2;
-    //! Check-path acceleration mode for the sIOPMP unit (and, via
-    //! CheckerNode::syncLogic, every per-node replica). nullopt keeps
-    //! the process default (CheckAccel::defaultMode()).
-    std::optional<iopmp::AccelMode> accel;
 
     /** The checker knobs as a validatable unit. */
     CheckerConfig

@@ -33,7 +33,7 @@ TEST(Iova, FreeAndMagazineReuse)
     EXPECT_EQ(b, a);
     IovaCosts costs;
     EXPECT_EQ(cost, costs.cached_alloc);
-    EXPECT_EQ(alloc.cacheHits(), 1u);
+    EXPECT_EQ(alloc.magazineHits(), 1u);
 }
 
 TEST(Iova, TreeAllocCostsMore)

@@ -8,13 +8,12 @@
  *    mutations mid-stream;
  *  - invalidation completeness: a parameterized walk over every MMIO
  *    write path (and the direct-mutation APIs) that can change an
- *    authorization outcome, comparing a cache-enabled DUT against a
- *    cache-disabled twin driven by the same op sequence;
+ *    authorization outcome, comparing an accelerated DUT against an
+ *    accel-off twin driven by the same op sequence;
  *  - invalidation minimality: a mutation confined to one MD must not
- *    invalidate plans or verdict-cache lines of disjoint MD bitmaps
- *    (the point of the per-MD incremental scheme);
- *  - the SIOPMP_ACCEL_MODE escape
- *    hatches and the deprecated boolean shims;
+ *    dirty the plans of disjoint MD bitmaps (the point of the per-MD
+ *    incremental scheme);
+ *  - the SIOPMP_ACCEL_MODE escape hatch and the mode plumbing;
  *  - the check_accel observability counters.
  */
 
@@ -133,7 +132,7 @@ TEST_P(AccelDifferential, MatchesUncachedUnderMutation)
 
     auto checker =
         makeChecker(GetParam().kind, GetParam().stages, entries, mdcfg);
-    checker->setAccelMode(AccelMode::PlansAndCache);
+    checker->setAccelMode(AccelMode::Plans);
     ASSERT_TRUE(checker->accelEnabled());
 
     for (unsigned i = 0; i < 4000; ++i) {
@@ -275,38 +274,36 @@ class InvalidationCompleteness : public ::testing::TestWithParam<Mutation>
 
 /**
  * Twin-DUT walk: drive the identical sequence — program, probe,
- * mutate, probe — through a cache-enabled DUT and a cache-disabled
- * twin. Any missing invalidation path shows up as the cached DUT
- * serving a pre-mutation verdict.
+ * mutate, probe — through an accelerated DUT and an accel-off twin.
+ * Any missing invalidation path shows up as the accelerated DUT
+ * serving a pre-mutation verdict from a stale plan.
  */
 TEST_P(InvalidationCompleteness, CachedMatchesUncachedAcrossMutation)
 {
-    SIopmp cached(probeConfig(), CheckerKind::Linear, 1);
-    SIopmp uncached(probeConfig(), CheckerKind::Tree, 1);
-    cached.setAccelMode(AccelMode::PlansAndCache);
-    uncached.setAccelMode(AccelMode::Off);
-    ASSERT_EQ(cached.accelMode(), AccelMode::PlansAndCache);
-    ASSERT_EQ(uncached.accelMode(), AccelMode::Off);
+    SIopmp accel(probeConfig(), CheckerKind::Linear, 1);
+    SIopmp walk(probeConfig(), CheckerKind::Tree, 1);
+    accel.setAccelMode(AccelMode::Plans);
+    walk.setAccelMode(AccelMode::Off);
+    ASSERT_EQ(accel.accelMode(), AccelMode::Plans);
+    ASSERT_EQ(walk.accelMode(), AccelMode::Off);
 
-    program(cached);
-    program(uncached);
+    program(accel);
+    program(walk);
 
     std::string why;
-    const std::vector<AuthResult> before_cached = probe(cached);
-    const std::vector<AuthResult> before = probe(uncached);
-    ASSERT_TRUE(sameResults(before_cached, before, &why)) << why;
+    const std::vector<AuthResult> before_accel = probe(accel);
+    const std::vector<AuthResult> before = probe(walk);
+    ASSERT_TRUE(sameResults(before_accel, before, &why)) << why;
 
-    // Probe twice more so the verdict cache is genuinely warm (every
-    // probe is a hit now); a stale post-mutation verdict can only come
-    // out of the cache or a stale plan.
-    probe(cached);
+    // The probe compiled every plan it touched; a stale post-mutation
+    // verdict can only come out of a plan the mutation failed to dirty.
 
-    GetParam().apply(cached);
-    GetParam().apply(uncached);
+    GetParam().apply(accel);
+    GetParam().apply(walk);
 
-    const std::vector<AuthResult> after_cached = probe(cached);
-    const std::vector<AuthResult> after = probe(uncached);
-    EXPECT_TRUE(sameResults(after_cached, after, &why))
+    const std::vector<AuthResult> after_accel = probe(accel);
+    const std::vector<AuthResult> after = probe(walk);
+    EXPECT_TRUE(sameResults(after_accel, after, &why))
         << GetParam().name << ": " << why;
 
     if (GetParam().expect_change) {
@@ -416,7 +413,7 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param.name;
     });
 
-// ---- escape hatches and deprecated shims --------------------------------
+// ---- escape hatch and mode plumbing -------------------------------------
 
 /** RAII save/restore of the acceleration env var. */
 class EnvGuard
@@ -453,8 +450,8 @@ TEST(CheckAccel, EnvEscapeHatch)
 {
     EnvGuard guard;
 
-    // No env, no override: full acceleration.
-    EXPECT_EQ(CheckAccel::defaultMode(), AccelMode::PlansAndCache);
+    // No env, no override: compiled plans.
+    EXPECT_EQ(CheckAccel::defaultMode(), AccelMode::Plans);
 
     setenv("SIOPMP_ACCEL_MODE", "off", 1);
     EXPECT_EQ(CheckAccel::defaultMode(), AccelMode::Off);
@@ -462,8 +459,8 @@ TEST(CheckAccel, EnvEscapeHatch)
         SIopmp dut(probeConfig(), CheckerKind::Linear, 1);
         EXPECT_EQ(dut.accelMode(), AccelMode::Off);
         // Explicit per-instance override beats the environment.
-        dut.setAccelMode(AccelMode::PlansAndCache);
-        EXPECT_EQ(dut.accelMode(), AccelMode::PlansAndCache);
+        dut.setAccelMode(AccelMode::Plans);
+        EXPECT_EQ(dut.accelMode(), AccelMode::Plans);
     }
 
     setenv("SIOPMP_ACCEL_MODE", "plans", 1);
@@ -473,10 +470,10 @@ TEST(CheckAccel, EnvEscapeHatch)
         EXPECT_EQ(dut.accelMode(), AccelMode::Plans);
     }
 
-    // An unparseable value keeps the full default rather than
-    // silently disabling the layer.
+    // An unparseable value keeps the default rather than silently
+    // disabling the layer.
     setenv("SIOPMP_ACCEL_MODE", "warpdrive", 1);
-    EXPECT_EQ(CheckAccel::defaultMode(), AccelMode::PlansAndCache);
+    EXPECT_EQ(CheckAccel::defaultMode(), AccelMode::Plans);
 
     // The programmatic override (CLIs) beats the environment.
     CheckAccel::setDefaultMode(AccelMode::Off);
@@ -486,15 +483,15 @@ TEST(CheckAccel, EnvEscapeHatch)
 TEST(CheckAccel, SetCheckerPreservesAccelMode)
 {
     SIopmp dut(probeConfig(), CheckerKind::Linear, 1);
-    dut.setAccelMode(AccelMode::PlansAndCache);
-    dut.setChecker(CheckerKind::Tree, 1);
-    EXPECT_EQ(dut.accelMode(), AccelMode::PlansAndCache);
     dut.setAccelMode(AccelMode::Plans);
-    dut.setChecker(CheckerKind::PipelineTree, 2);
+    dut.setChecker(CheckerKind::Tree, 1);
     EXPECT_EQ(dut.accelMode(), AccelMode::Plans);
     dut.setAccelMode(AccelMode::Off);
-    dut.setChecker(CheckerKind::Linear, 1);
+    dut.setChecker(CheckerKind::PipelineTree, 2);
     EXPECT_EQ(dut.accelMode(), AccelMode::Off);
+    dut.setAccelMode(AccelMode::Plans);
+    dut.setChecker(CheckerKind::Linear, 1);
+    EXPECT_EQ(dut.accelMode(), AccelMode::Plans);
 }
 
 /** One documented default, one construction path: the factory applies
@@ -511,24 +508,23 @@ TEST(CheckAccel, FactoryAppliesDefaultRawConstructionStaysOff)
     auto factory_built =
         makeChecker(CheckerKind::Linear, 1, entries, mdcfg);
     EXPECT_EQ(factory_built->accelMode(), CheckAccel::defaultMode());
-    EXPECT_EQ(factory_built->accelMode(), AccelMode::PlansAndCache);
+    EXPECT_EQ(factory_built->accelMode(), AccelMode::Plans);
 
     LinearChecker raw(entries, mdcfg);
     EXPECT_EQ(raw.accelMode(), AccelMode::Off);
 
     // The factory honours a changed default, too.
-    CheckAccel::setDefaultMode(AccelMode::Plans);
-    auto plans_built =
-        makeChecker(CheckerKind::Tree, 1, entries, mdcfg);
-    EXPECT_EQ(plans_built->accelMode(), AccelMode::Plans);
+    CheckAccel::setDefaultMode(AccelMode::Off);
+    auto off_built = makeChecker(CheckerKind::Tree, 1, entries, mdcfg);
+    EXPECT_EQ(off_built->accelMode(), AccelMode::Off);
 }
 
 // ---- observability counters ---------------------------------------------
 
-TEST(CheckAccel, CountersTrackHitsMissesAndFlushes)
+TEST(CheckAccel, CountersTrackCompilesAndFlushes)
 {
     SIopmp dut(probeConfig(), CheckerKind::Linear, 1);
-    dut.setAccelMode(AccelMode::PlansAndCache);
+    dut.setAccelMode(AccelMode::Plans);
     program(dut);
     const CheckAccel *accel = dut.checker().accel();
     ASSERT_NE(accel, nullptr);
@@ -538,34 +534,32 @@ TEST(CheckAccel, CountersTrackHitsMissesAndFlushes)
     const std::uint64_t partial0 = accel->partialFlushes();
     const std::uint64_t full0 = accel->fullFlushes();
 
-    // First check compiles SID1's plan and misses the verdict cache.
+    // First check compiles SID1's plan.
     EXPECT_EQ(dut.authorize(kDevHot, 0x1000, 8, Perm::Read).status,
               AuthStatus::Allow);
-    const std::uint64_t misses0 = accel->cacheMisses();
     const std::uint64_t compiles0 = accel->planCompiles();
-    EXPECT_GE(misses0, 1u);
-    EXPECT_GE(compiles0, 1u);
+    EXPECT_EQ(compiles0, 1u);
     EXPECT_EQ(accel->planRecompiles(), 0u);
+    EXPECT_EQ(accel->stalePlans(), 0u);
 
-    // Identical repeats hit; no new plan work.
+    // Repeats reuse the clean plan: no plan work at all.
     for (int i = 0; i < 5; ++i)
         dut.authorize(kDevHot, 0x1000, 8, Perm::Read);
-    EXPECT_EQ(accel->cacheHits(), 5u);
-    EXPECT_EQ(accel->cacheMisses(), misses0);
     EXPECT_EQ(accel->planCompiles(), compiles0);
+    EXPECT_EQ(accel->planRecompiles(), 0u);
 
-    // A config write partially flushes (no full flush: only the owning
-    // MDs salt forward) and strands the plan: the next check
-    // re-misses and re-compiles.
+    // A config write partially flushes (no full flush: only plans of
+    // the owning MDs go stale), and the next check recompiles the
+    // stranded plan and sees the new permission.
     writeEntry(dut, 0, 0x1000, 0x1000, (1u << 2) | 0x1); // rw -> r-
     EXPECT_EQ(accel->partialFlushes(), partial0 + 1);
     EXPECT_EQ(accel->fullFlushes(), full0);
-    EXPECT_GE(accel->stalePlans(), 1u);
-    EXPECT_FALSE(
-        dut.authorize(kDevHot, 0x1000, 8, Perm::Write).status ==
-        AuthStatus::Allow);
-    EXPECT_GE(accel->planRecompiles(), 1u);
-    EXPECT_GT(accel->cacheMisses(), misses0);
+    EXPECT_EQ(accel->stalePlans(), 1u);
+    EXPECT_EQ(dut.authorize(kDevHot, 0x1000, 8, Perm::Write).status,
+              AuthStatus::Deny);
+    EXPECT_EQ(accel->planRecompiles(), 1u);
+    EXPECT_EQ(accel->planCompiles(), compiles0);
+    EXPECT_EQ(accel->stalePlans(), 0u);
 }
 
 // ---- invalidation minimality --------------------------------------------
@@ -586,7 +580,7 @@ struct MinimalityRig {
                 /*machine_mode=*/true));
         }
         checker = makeChecker(CheckerKind::Linear, 1, entries, mdcfg);
-        checker->setAccelMode(AccelMode::PlansAndCache);
+        checker->setAccelMode(AccelMode::Plans);
         accel = checker->accel();
         EXPECT_NE(accel, nullptr);
 
@@ -599,11 +593,11 @@ struct MinimalityRig {
         req_b.addr = 0x9000;
         req_b.md_bitmap = 0xc;
 
-        // Compile both plans and fill both verdict-cache lines.
+        // Compile both plans.
         checker->check(req_a);
         checker->check(req_b);
         EXPECT_EQ(accel->planCompiles(), 2u);
-        EXPECT_EQ(accel->cacheMisses(), 2u);
+        EXPECT_EQ(accel->stalePlans(), 0u);
     }
 
     EntryTable entries;
@@ -614,29 +608,30 @@ struct MinimalityRig {
     CheckRequest req_b;
 };
 
-/** An entry rewrite inside MD0 must leave MD2|MD3's plan compiled and
- * its verdict-cache line live, while MD0's plan goes stale. */
+/** An entry rewrite inside MD0 must leave MD2|MD3's plan clean,
+ * while MD0's plan goes stale and recompiles on its next use. */
 TEST(CheckAccel, EntryMutationLeavesDisjointMdsValid)
 {
     MinimalityRig rig;
 
-    // Entry 1 lives in MD0's window.
+    // Entry 1 lives in MD0's window: read-write becomes read-only.
     ASSERT_TRUE(rig.entries.set(
         1, Entry::range(0x1000, 0x1000, Perm::Read), true));
     EXPECT_EQ(rig.accel->partialFlushes(), 1u);
     EXPECT_EQ(rig.accel->fullFlushes(), 0u);
     EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
-    // Disjoint bitmap: still a verdict-cache hit, no plan work.
-    rig.checker->check(rig.req_b);
-    EXPECT_EQ(rig.accel->cacheHits(), 1u);
-    EXPECT_EQ(rig.accel->cacheMisses(), 2u);
+    // Disjoint bitmap: its plan is still clean, no plan work.
+    EXPECT_TRUE(rig.checker->check(rig.req_b).allowed);
     EXPECT_EQ(rig.accel->planRecompiles(), 0u);
+    EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
-    // Touched bitmap: the plan recompiles and the salted line misses.
-    rig.checker->check(rig.req_a);
+    // Touched bitmap: the plan recompiles and sees the new rule.
+    CheckRequest write_a = rig.req_a;
+    write_a.perm = Perm::Write;
+    EXPECT_FALSE(rig.checker->check(write_a).allowed);
     EXPECT_EQ(rig.accel->planRecompiles(), 1u);
-    EXPECT_EQ(rig.accel->cacheMisses(), 3u);
+    EXPECT_EQ(rig.accel->planCompiles(), 2u);
     EXPECT_EQ(rig.accel->stalePlans(), 0u);
 }
 
@@ -650,11 +645,12 @@ TEST(CheckAccel, MdcfgTopMoveLeavesDisjointMdsValid)
     ASSERT_TRUE(rig.mdcfg.setTop(0, 3));
     EXPECT_EQ(rig.accel->partialFlushes(), 1u);
     EXPECT_EQ(rig.accel->fullFlushes(), 0u);
+    EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
     // MD2|MD3 is untouched by the boundary move.
     rig.checker->check(rig.req_b);
-    EXPECT_EQ(rig.accel->cacheHits(), 1u);
     EXPECT_EQ(rig.accel->planRecompiles(), 0u);
+    EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
     // MD0's plan is stale and recompiles.
     rig.checker->check(rig.req_a);
@@ -664,7 +660,7 @@ TEST(CheckAccel, MdcfgTopMoveLeavesDisjointMdsValid)
 
 /** Overlapping bitmaps on both sides of a mutation: only those
  * intersecting the dirtied MD set pay for it. */
-TEST(CheckAccel, OverlappingBitmapSaltsAreIndependent)
+TEST(CheckAccel, OverlappingBitmapPlansAreIndependent)
 {
     MinimalityRig rig;
 
@@ -685,10 +681,12 @@ TEST(CheckAccel, OverlappingBitmapSaltsAreIndependent)
     rig.checker->check(rig.req_a);
     rig.checker->check(req_c);
     EXPECT_EQ(rig.accel->planRecompiles(), 0u);
-    EXPECT_EQ(rig.accel->cacheHits(), 2u);
+    EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
     rig.checker->check(rig.req_b);
     EXPECT_EQ(rig.accel->planRecompiles(), 1u);
+    EXPECT_EQ(rig.accel->planCompiles(), 3u);
+    EXPECT_EQ(rig.accel->stalePlans(), 0u);
 }
 
 /** resetAll is the sledgehammer: everything stale, one full flush. */
@@ -700,10 +698,13 @@ TEST(CheckAccel, TableResetFullyFlushes)
     EXPECT_EQ(rig.accel->fullFlushes(), 1u);
     EXPECT_EQ(rig.accel->stalePlans(), 2u);
 
-    rig.checker->check(rig.req_a);
-    rig.checker->check(rig.req_b);
+    EXPECT_EQ(rig.accel->partialFlushes(), 0u);
+
+    // Every entry is off now: both recompiled plans default-deny.
+    EXPECT_FALSE(rig.checker->check(rig.req_a).allowed);
+    EXPECT_FALSE(rig.checker->check(rig.req_b).allowed);
     EXPECT_EQ(rig.accel->planRecompiles(), 2u);
-    EXPECT_EQ(rig.accel->cacheHits(), 0u);
+    EXPECT_EQ(rig.accel->planCompiles(), 2u);
     EXPECT_EQ(rig.accel->stalePlans(), 0u);
 }
 
@@ -716,7 +717,7 @@ TEST(CheckAccel, ZeroLengthMatchesUncached)
     ASSERT_TRUE(entries.set(0, Entry::range(0, ~Addr{0}, Perm::ReadWrite),
                             true));
     auto checker = makeChecker(CheckerKind::Linear, 1, entries, mdcfg);
-    checker->setAccelMode(AccelMode::PlansAndCache);
+    checker->setAccelMode(AccelMode::Plans);
     CheckRequest req;
     req.addr = 0x1000;
     req.len = 0;

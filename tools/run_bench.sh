@@ -16,7 +16,7 @@
 #
 # --sanitize configures a separate ASan+UBSan-instrumented tree
 # (default build-asan/, matching the asan-ubsan CMake preset), then
-# runs the cache-invalidation/accelerator tests and bounded
+# runs the plan-invalidation/accelerator tests and bounded
 # differential-fuzz campaigns — accel forced on, forced off, and the
 # mutation-heavy churn profile that stresses per-MD incremental
 # invalidation — under the sanitizers. It then configures a second,
@@ -61,13 +61,13 @@ if [ "${1:-}" = "--sanitize" ]; then
     "$ASAN_DIR/tests/test_iopmp_checkers" \
         --gtest_filter='*CheckAccel*:*Invalidation*:*AccelDifferential*'
     echo "== bounded fuzz campaign, accel forced on (sanitized) =="
-    "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --accel plans+cache --seed 1
+    "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --accel plans --seed 1
     "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --accel off --seed 1
     echo "== churn-profile fuzz: incremental invalidation (sanitized) =="
     "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --profile churn \
-        --accel plans+cache --seed 1
+        --accel plans --seed 1
     "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --profile churn \
-        --accel plans --seed 2
+        --accel off --seed 2
 
     echo "== tenant-churn workload leg (ASan+UBSan) =="
     cmake --build "$ASAN_DIR" -j --target test_workloads
@@ -185,34 +185,33 @@ cfgs = d["configs"]
 kinds = {c["kind"] for c in cfgs}
 assert kinds == {"linear", "tree", "mt3"}, kinds
 for c in cfgs:
-    assert c["cache"] in ("off", "on")
+    assert c["accel"] in ("off", "plans"), c
     assert c["entries"] in (64, 256, 1024)
     assert c["ns_per_check"] > 0 and c["s_per_mcycle"] > 0
-# Acceptance gate: saturated 128-SID throughput with the verdict
-# cache on must be at least 3x the cache-off baseline, per kind and
-# entry count.
+# Acceptance gate: saturated 128-SID throughput with compiled plans
+# must be at least 3x the accel-off walk, per kind and entry count.
 for c in cfgs:
-    if c["cache"] == "on":
+    if c["accel"] == "plans":
         assert c["speedup"] >= 3.0, (c["kind"], c["entries"], c["speedup"])
-# Churn series: every kind at ratios 1:10/1:100/1:1000, accel off+on.
+# Churn series: every kind at ratios 1:10/1:100/1:1000, accel off+plans.
 churn = d["churn"]
 ckinds = {c["kind"] for c in churn}
 assert ckinds == {"linear", "tree", "mt3"}, ckinds
 for c in churn:
-    assert c["accel"] in ("off", "plans+cache"), c
+    assert c["accel"] in ("off", "plans"), c
     assert c["ratio"] in (10, 100, 1000), c
     assert c["ns_per_check"] > 0, c
 # Acceptance gate: with per-MD incremental invalidation, accelerated
 # checks under churn at a 1:100 mutation:check ratio must be at least
-# 5x the uncached walk, per kind. (The old epoch scheme flushed every
-# plan and line on every mutation; this gate is what it would fail.)
+# 5x the uncached walk, per kind. (A global epoch flushing every plan
+# on every mutation is what this gate would fail.)
 for c in churn:
-    if c["accel"] == "plans+cache" and c["ratio"] == 100:
+    if c["accel"] == "plans" and c["ratio"] == 100:
         assert c["speedup"] >= 5.0, (c["kind"], c["speedup"])
 print("checker json schema OK (min speedup %.1fx; min churn@1:100 %.1fx)" %
-      (min(c["speedup"] for c in cfgs if c["cache"] == "on"),
+      (min(c["speedup"] for c in cfgs if c["accel"] == "plans"),
        min(c["speedup"] for c in churn
-           if c["accel"] == "plans+cache" and c["ratio"] == 100)))
+           if c["accel"] == "plans" and c["ratio"] == 100)))
 EOF
 
 echo "== churn_fleet (BENCH_churn.json) =="

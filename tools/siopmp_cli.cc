@@ -19,9 +19,9 @@
  * Flags accepted by every command:
  *
  *   --accel MODE       check-path acceleration mode for every sIOPMP
- *                      the command builds: off | plans | plans+cache
+ *                      the command builds: off | plans
  *                      (default: CheckAccel::defaultMode(), i.e. the
- *                      SIOPMP_ACCEL_MODE env var or plans+cache)
+ *                      SIOPMP_ACCEL_MODE env var or plans)
  *   --trace-out FILE   write a Chrome trace-event JSON of the run
  *                      (load in Perfetto / chrome://tracing)
  *   --stats-json FILE  write every stats group the run touched as JSON
@@ -255,7 +255,7 @@ usage()
     std::fprintf(stderr,
                  "usage: siopmp-cli <latency|bandwidth|network|memcached|"
                  "hotcold|churn|freq> [flags]\n"
-                 "       [--accel off|plans|plans+cache]\n"
+                 "       [--accel off|plans]\n"
                  "       [--trace-out FILE] [--stats-json FILE|-]\n"
                  "run with a command and no flags for sane defaults; see "
                  "the file header for flags.\n");

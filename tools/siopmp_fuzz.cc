@@ -7,7 +7,7 @@
  *   siopmp_fuzz [--cases N] [--wide-cases N] [--ops N] [--seed S]
  *               [--checker linear|tree|pipe-linear|pipe-tree|all]
  *               [--stages N] [--entries N] [--sids N] [--mds N]
- *               [--accel off|plans|plans+cache|default]
+ *               [--accel off|plans|default]
  *               [--profile default|churn] [--jobs N]
  *               [--replay CASE] [--inject lock-bypass|block-hole|unbind-drop]
  *               [--trace-out FILE] [--stats-json FILE|-] [--verbose]
@@ -28,8 +28,8 @@
  * serializes one event stream.
  *
  * --accel forces the DUT's check-path acceleration mode (compiled
- * match plans, optionally plus the verdict cache — see
- * docs/PERFORMANCE.md) for every case; "default" defers to
+ * match plans or the checker's own walk — see docs/PERFORMANCE.md)
+ * for every case; "default" defers to
  * CheckAccel::defaultMode() (SIOPMP_ACCEL_MODE).
  *
  * --profile churn switches the op mix to continuous high-rate table
@@ -118,7 +118,7 @@ usage()
         "pipe-linear|pipe-tree|all]\n"
         "                   [--stages N] [--entries N] [--sids N] "
         "[--mds N]\n"
-        "                   [--accel off|plans|plans+cache|default]\n"
+        "                   [--accel off|plans|default]\n"
         "                   [--profile default|churn] [--jobs N]\n"
         "                   [--replay CASE] [--inject "
         "lock-bypass|block-hole|unbind-drop]\n"
