@@ -35,7 +35,7 @@ ErrorNode::evaluate(Cycle)
             return; // retry next cycle
         up_->d.push(makeDenied(req));
         ++errors_;
-        ++stats_.scalar("bus_errors");
+        ++stats_.scalar(st_bus_errors_, "bus_errors");
     }
     up_->a.pop();
 }

@@ -35,6 +35,8 @@ class ErrorNode : public Tickable
     // Writes stream multiple A beats; only the last triggers the ack.
     std::uint64_t errors_ = 0;
     stats::Group stats_;
+    //! Hot-path stats, resolved on first use (stats::Group::scalar).
+    stats::Scalar *st_bus_errors_ = nullptr;
 };
 
 } // namespace bus

@@ -12,6 +12,11 @@
  * every push() then re-arms it on the simulator's active set, which is
  * what lets a quiescent consumer sleep between transfers without ever
  * missing an incoming beat (see sim/tickable.hh).
+ *
+ * Wake-on-space: the producer may bind itself with bindProducerWake();
+ * a clock() that frees space the producer saw as full (canPush() false
+ * before it, true after it) then re-arms the producer, so it can sleep
+ * through backpressure instead of polling a full channel.
  */
 
 #ifndef BUS_FIFO_HH
@@ -44,6 +49,11 @@ class Fifo
      * unbind). Survives reset(): it is wiring, not state. */
     void bindWake(Tickable *consumer) { wake_ = consumer; }
 
+    /** Bind the producer component woken when a clock() frees space it
+     * saw as full (may be null to unbind). Wiring, like bindWake(): the
+     * producer must outlive every clock() of this fifo. */
+    void bindProducerWake(Tickable *producer) { producer_wake_ = producer; }
+
     /** True iff a producer may push this cycle. */
     bool
     canPush() const
@@ -71,6 +81,10 @@ class Fifo
      */
     bool settled() const { return ready_.empty() && staged_.empty(); }
 
+    /** True iff a push is staged for the next clock(): a consumer that
+     * sleeps with readable items still owes that clock. */
+    bool hasStaged() const { return !staged_.empty(); }
+
     /** Item at the head (consumer-visible). */
     const T &
     front() const
@@ -91,11 +105,14 @@ class Fifo
     void
     clock()
     {
+        const bool was_full = !canPush();
         while (!staged_.empty()) {
             ready_.push_back(staged_.front());
             staged_.pop_front();
         }
         snapshot_ = ready_.size();
+        if (was_full && producer_wake_ != nullptr && canPush())
+            producer_wake_->wake();
     }
 
     /** Total items in flight (readable + staged). */
@@ -113,6 +130,7 @@ class Fifo
   private:
     std::size_t capacity_;
     Tickable *wake_ = nullptr;
+    Tickable *producer_wake_ = nullptr;
     std::deque<T> ready_;      //!< consumer-readable
     std::deque<T> staged_;     //!< producer-side register stage
     std::size_t snapshot_ = 0; //!< occupancy registered at last clock()

@@ -98,6 +98,10 @@ class BusMonitor
     std::uint64_t total_completed_ = 0;
     std::uint64_t block_windows_ = 0;
     stats::Group stats_{"busmon"};
+    //! Hot-path stats, resolved on first use (stats::Group::scalar).
+    stats::Scalar *st_block_windows_ = nullptr;
+    stats::Average *st_block_window_mean_ = nullptr;
+    stats::Histogram *st_block_window_cycles_ = nullptr;
 };
 
 } // namespace bus

@@ -67,7 +67,7 @@ Xbar::forwardRequest()
         link->a.pop();
         beat.route = static_cast<std::uint32_t>(grant_);
         down_->a.push(beat);
-        ++stats_.scalar("a_beats");
+        ++stats_.scalar(st_a_beats_, "a_beats");
         if (beat.last)
             burst_locked_ = false;
         return;
@@ -83,7 +83,7 @@ Xbar::forwardRequest()
         link->a.pop();
         beat.route = static_cast<std::uint32_t>(port);
         down_->a.push(beat);
-        ++stats_.scalar("a_beats");
+        ++stats_.scalar(st_a_beats_, "a_beats");
         if (beat.beat_idx == 0 && trace::on())
             traceTxnBegin(beat);
         grant_ = port;
@@ -139,7 +139,7 @@ Xbar::forwardResponse()
     if (!link->d.canPush())
         return;
     link->d.push(beat);
-    ++stats_.scalar("d_beats");
+    ++stats_.scalar(st_d_beats_, "d_beats");
     if (beat.last && trace::on())
         traceTxnEnd(beat);
     down_->d.pop();

@@ -54,6 +54,9 @@ class Xbar : public Tickable
     bool burst_locked_ = false;
     Cycle now_ = 0; //!< latched in evaluate() for trace timestamps
     stats::Group stats_;
+    //! Hot-path stats, resolved on first use (stats::Group::scalar).
+    stats::Scalar *st_a_beats_ = nullptr;
+    stats::Scalar *st_d_beats_ = nullptr;
 };
 
 } // namespace bus

@@ -20,6 +20,7 @@ DmaMaster::DmaMaster(std::string name, DeviceId device, bus::Link *link)
 {
     SIOPMP_ASSERT(link_ != nullptr, "device needs a link");
     link_->d.bindWake(this);
+    link_->a.bindProducerWake(this); // may sleep through backpressure
 }
 
 bool
@@ -29,7 +30,7 @@ DmaMaster::tryIssueGet(Addr addr, unsigned beats)
         return false;
     last_get_txn_ = allocTxn();
     link_->a.push(bus::makeGet(addr, beats, device_, last_get_txn_));
-    ++stats_.scalar("gets_issued");
+    ++stats_.scalar(st_gets_issued_, "gets_issued");
     return true;
 }
 
@@ -42,7 +43,7 @@ DmaMaster::tryIssuePutBeat(Addr addr, unsigned idx, unsigned beats,
         return false;
     link_->a.push(
         bus::makePut(addr, idx, beats, data, device_, txn, strobe));
-    ++stats_.scalar("put_beats_issued");
+    ++stats_.scalar(st_put_beats_issued_, "put_beats_issued");
     return true;
 }
 
@@ -51,14 +52,14 @@ DmaMaster::accountResponse(const bus::Beat &beat)
 {
     if (beat.denied) {
         ++denied_;
-        ++stats_.scalar("denied");
+        ++stats_.scalar(st_denied_, "denied");
         return;
     }
     if (beat.opcode == bus::Opcode::AccessAckData) {
         bytes_ += bus::kBeatBytes;
-        ++stats_.scalar("read_beats");
+        ++stats_.scalar(st_read_beats_, "read_beats");
     } else if (beat.opcode == bus::Opcode::AccessAck) {
-        ++stats_.scalar("write_acks");
+        ++stats_.scalar(st_write_acks_, "write_acks");
     }
 }
 

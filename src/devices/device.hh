@@ -58,6 +58,12 @@ class DmaMaster : public Tickable
     std::uint64_t bytes_ = 0;
     std::uint64_t denied_ = 0;
     stats::Group stats_;
+    //! Hot-path stats, resolved on first use (stats::Group::scalar).
+    stats::Scalar *st_gets_issued_ = nullptr;
+    stats::Scalar *st_put_beats_issued_ = nullptr;
+    stats::Scalar *st_denied_ = nullptr;
+    stats::Scalar *st_read_beats_ = nullptr;
+    stats::Scalar *st_write_acks_ = nullptr;
 };
 
 } // namespace dev

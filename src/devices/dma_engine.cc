@@ -92,14 +92,25 @@ DmaEngine::quiescent(Cycle) const
         return false; // responses to collect
     if (done_)
         return true;
-    // Any issuable work keeps the engine hot so it polls through
-    // A-channel backpressure; once everything issued is merely awaiting
-    // responses, the D-channel wake re-arms it.
-    if (writing_ || !write_queue_.empty())
-        return false;
-    if (issued_bytes_ < job_.bytes &&
-        outstanding_.size() < job_.max_outstanding) {
-        return false;
+    // Stay hot while the next issue would change state. An issue that
+    // only waits on a full A channel is a no-op: sleep, and let the
+    // channel's producer wake (space freed) or a D-channel push (a
+    // response, which also frees outstanding slots) re-arm the engine.
+    // Opening a burst allocates its txn before it looks at the channel,
+    // so a burst about to open keeps the engine hot.
+    const bool a_full = !link_->a.canPush();
+    const bool slot = outstanding_.size() < job_.max_outstanding;
+    if (issued_bytes_ < job_.bytes) {
+        if (job_.kind != DmaKind::Write) {
+            if (slot && !a_full)
+                return false; // next read burst issues
+        } else if (writing_ ? !a_full : slot) {
+            return false; // next write beat issues, or a burst opens
+        }
+    }
+    if (job_.kind == DmaKind::Copy) {
+        if (writing_ ? !a_full : (slot && !write_queue_.empty()))
+            return false; // next write-out beat, or a staged burst opens
     }
     return true;
 }
@@ -232,7 +243,7 @@ DmaEngine::collectResponses(Cycle now)
         out.terminated = true;
         completed_bytes_ += burst_bytes;
         ++bursts_completed_;
-        stats_.average("burst_latency").sample(
+        stats_.average(st_burst_latency_, "burst_latency").sample(
             static_cast<double>(now - out.issued_at));
         if (burst_observer_)
             burst_observer_(now - out.issued_at, true);
@@ -242,7 +253,7 @@ DmaEngine::collectResponses(Cycle now)
         ++out.received;
         if (beat.last) {
             ++bursts_completed_;
-            stats_.average("burst_latency").sample(
+            stats_.average(st_burst_latency_, "burst_latency").sample(
                 static_cast<double>(now - out.issued_at));
             if (burst_observer_)
                 burst_observer_(now - out.issued_at, false);
@@ -258,7 +269,7 @@ DmaEngine::collectResponses(Cycle now)
     } else if (beat.opcode == bus::Opcode::AccessAck) {
         completed_bytes_ += burst_bytes;
         ++bursts_completed_;
-        stats_.average("burst_latency").sample(
+        stats_.average(st_burst_latency_, "burst_latency").sample(
             static_cast<double>(now - out.issued_at));
         if (burst_observer_)
             burst_observer_(now - out.issued_at, false);

@@ -136,6 +136,7 @@ class DmaEngine : public DmaMaster
 
     std::unordered_map<std::uint64_t, Outstanding> outstanding_;
     std::uint64_t bursts_completed_ = 0;
+    stats::Average *st_burst_latency_ = nullptr; //!< resolved on first use
 
     // Copy staging: read bursts that finished and await write-out.
     std::deque<Outstanding> write_queue_;

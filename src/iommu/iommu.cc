@@ -39,8 +39,9 @@ Iommu::dmaMap(Addr paddr, unsigned pages, Perm perm, unsigned cpu,
     result.iova = iova;
     result.cost = iova_cost + cfg_.map_setup +
                   pages * cfg_.walk_cycles_per_level / 4;
-    ++stats_.scalar("maps");
-    stats_.average("map_cost").sample(static_cast<double>(result.cost));
+    ++stats_.scalar(st_maps_, "maps");
+    stats_.average(st_map_cost_, "map_cost")
+        .sample(static_cast<double>(result.cost));
     return result;
 }
 
@@ -79,12 +80,13 @@ Iommu::dmaUnmap(Addr iova, unsigned pages, unsigned cpu, Cycle now,
         iotlb_.invalidateAll();
         deferred_pending_ = 0;
         stale_mappings_ = 0;
-        ++stats_.scalar("deferred_flushes");
+        ++stats_.scalar(st_deferred_flushes_, "deferred_flushes");
     }
 
     iova_.free(iova, cpu);
-    ++stats_.scalar("unmaps");
-    stats_.average("unmap_cost").sample(static_cast<double>(cost));
+    ++stats_.scalar(st_unmaps_, "unmaps");
+    stats_.average(st_unmap_cost_, "unmap_cost")
+        .sample(static_cast<double>(cost));
     if (wait_out)
         *wait_out = wait;
     return cost;
@@ -106,7 +108,7 @@ Iommu::translate(Addr iova, Perm perm, Cycle now, Cycle *cost_out)
     if (cost_out)
         *cost_out = cost;
     if (!translation || !permits(translation->perm, perm)) {
-        ++stats_.scalar("faults");
+        ++stats_.scalar(st_faults_, "faults");
         return std::nullopt;
     }
     return translation;

@@ -106,6 +106,13 @@ class Iommu
     unsigned deferred_pending_ = 0;
     std::uint64_t stale_mappings_ = 0;
     stats::Group stats_;
+    //! Hot-path stats, resolved on first use (stats::Group::scalar).
+    stats::Scalar *st_maps_ = nullptr;
+    stats::Average *st_map_cost_ = nullptr;
+    stats::Scalar *st_deferred_flushes_ = nullptr;
+    stats::Scalar *st_unmaps_ = nullptr;
+    stats::Average *st_unmap_cost_ = nullptr;
+    stats::Scalar *st_faults_ = nullptr;
 };
 
 } // namespace iommu

@@ -53,9 +53,9 @@ IommuNode::acceptRequests(Cycle now)
     auto translation =
         mmu_->translate(beat.addr, beat.requiredPerm(), now, &walk_cost);
     if (walk_cost == 0)
-        ++stats_.scalar("iotlb_hits");
+        ++stats_.scalar(st_iotlb_hits_, "iotlb_hits");
     else
-        ++stats_.scalar("table_walks");
+        ++stats_.scalar(st_table_walks_, "table_walks");
 
     if (trace::on()) {
         trace::Event ev;
@@ -79,7 +79,7 @@ IommuNode::acceptRequests(Cycle now)
     if (translation) {
         beat.addr = translation->paddr | (beat.addr & (kPageSize - 1));
     } else {
-        ++stats_.scalar("faults");
+        ++stats_.scalar(st_faults_, "faults");
         if (bus::isWrite(beat.opcode) && !beat.last)
             faulting_txn_ = beat.txn;
     }
@@ -109,7 +109,7 @@ IommuNode::dispatch(Cycle now)
     if (!down_->a.canPush())
         return;
     down_->a.push(pending.beat);
-    ++stats_.scalar("beats_translated");
+    ++stats_.scalar(st_beats_translated_, "beats_translated");
     pipe_.pop_front();
 }
 

@@ -57,6 +57,11 @@ class IommuNode : public Tickable
     //! Divert latch: remaining beats of a faulted write burst.
     std::optional<std::uint64_t> faulting_txn_;
     stats::Group stats_;
+    //! Hot-path stats, resolved on first use (stats::Group::scalar).
+    stats::Scalar *st_iotlb_hits_ = nullptr;
+    stats::Scalar *st_table_walks_ = nullptr;
+    stats::Scalar *st_faults_ = nullptr;
+    stats::Scalar *st_beats_translated_ = nullptr;
 };
 
 } // namespace iommu

@@ -31,6 +31,7 @@ SidBlockBitmap::block(Sid sid)
 {
     SIOPMP_ASSERT(valid(sid), "block: SID out of range");
     words_[sid / 64] |= std::uint64_t{1} << (sid % 64);
+    changed();
 }
 
 void
@@ -38,6 +39,7 @@ SidBlockBitmap::unblock(Sid sid)
 {
     SIOPMP_ASSERT(valid(sid), "unblock: SID out of range");
     words_[sid / 64] &= ~(std::uint64_t{1} << (sid % 64));
+    changed();
 }
 
 bool
@@ -53,6 +55,7 @@ SidBlockBitmap::blockAll()
 {
     for (unsigned k = 0; k < words_.size(); ++k)
         words_[k] = wordMask(k);
+    changed();
 }
 
 void
@@ -60,6 +63,7 @@ SidBlockBitmap::unblockAll()
 {
     for (auto &word : words_)
         word = 0;
+    changed();
 }
 
 std::uint64_t
@@ -74,6 +78,7 @@ SidBlockBitmap::setWord(unsigned k, std::uint64_t bits)
 {
     SIOPMP_ASSERT(k < words_.size(), "block bitmap word out of range");
     words_[k] = bits & wordMask(k);
+    changed();
 }
 
 } // namespace iopmp

@@ -20,6 +20,8 @@
 #define IOPMP_BLOCK_HH
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -62,7 +64,23 @@ class SidBlockBitmap
 
     unsigned numSids() const { return num_sids_; }
 
+    /** Call @p hook after every block-bit write (block, unblock,
+     * blockAll, unblockAll, setWord). SIopmp wakes the checker nodes
+     * parked on a stalled beat from here. */
+    void
+    setChangeHook(std::function<void()> hook)
+    {
+        on_change_ = std::move(hook);
+    }
+
   private:
+    void
+    changed()
+    {
+        if (on_change_)
+            on_change_();
+    }
+
     bool valid(Sid sid) const { return sid < num_sids_; }
 
     /** Valid-bit mask for word @p k (partial in the last word). */
@@ -70,6 +88,7 @@ class SidBlockBitmap
 
     std::vector<std::uint64_t> words_;
     unsigned num_sids_;
+    std::function<void()> on_change_;
 };
 
 } // namespace iopmp

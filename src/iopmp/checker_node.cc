@@ -50,15 +50,28 @@ CheckerNode::CheckerNode(std::string name, bus::Link *up, bus::Link *down,
         err_->d.bindWake(this);
 }
 
+CheckerNode::~CheckerNode()
+{
+    // Unconditional: a park that raced a wake inside authorize() left
+    // an entry the unit has not fired yet.
+    unit_->unpark(this);
+}
+
 bool
 CheckerNode::quiescent(Cycle) const
 {
-    // Stalled beats (SID miss, per-SID block, backpressure) keep the
-    // request pipe non-empty, so the node keeps polling through every
-    // stall — only a genuinely empty checker goes to sleep.
-    return up_->a.settled() && down_->d.settled() &&
-           (err_ == nullptr || err_->d.settled()) && req_pipe_.empty() &&
-           resp_pipe_.empty();
+    if (!down_->d.settled() || (err_ != nullptr && !err_->d.settled()) ||
+        !resp_pipe_.empty()) {
+        return false;
+    }
+    if (req_pipe_.empty())
+        return up_->a.settled();
+    // A parked head beat sleeps until the unit's wake list fires. The
+    // node must also have nothing to accept: no push staged on the up
+    // link, and any readable beat held back by a full request pipe
+    // (only dispatch, which is parked, frees a slot).
+    return park_ != Park::None && parked_gen_ == unit_->stallGeneration() &&
+           !up_->a.hasStaged() && (up_->a.empty() || !req_pipe_.canPush());
 }
 
 Cycle
@@ -180,11 +193,69 @@ CheckerNode::traceResolved(const bus::Beat &beat, Cycle now,
 }
 
 void
+CheckerNode::park(Park kind, Sid sid, Cycle now, std::uint64_t gen)
+{
+    park_ = kind;
+    parked_sid_ = sid;
+    parked_at_ = now;
+    parked_gen_ = gen;
+    unit_->parkUntilStallChange(this);
+}
+
+void
+CheckerNode::creditBlockStalls(std::uint64_t polls)
+{
+    stats_.scalar(st_block_stalls_, "block_stalls") +=
+        static_cast<double>(polls);
+    unit_->creditBlockedPolls(polls);
+}
+
+bool
+CheckerNode::stayParked(const bus::Beat &head, Cycle now)
+{
+    // Every cycle slept through would have polled the same stall. A
+    // SID-miss stall counts nothing per poll; a block stall counts one
+    // check, one blocked stall and one block_stalls each (its CAM use
+    // bit needs no replay: only a reported sweep clears it).
+    if (park_ == Park::Block && now > parked_at_ + 1)
+        creditBlockStalls(now - parked_at_ - 1);
+    if (unit_->stallGeneration() != parked_gen_) {
+        park_ = Park::None; // the wake list already dropped us
+        return false;
+    }
+    // Evaluated while nothing the stall reads changed (another wake
+    // source, or the naive loop): this cycle's poll is one more stall.
+    checkStillStalled(head);
+    if (park_ == Park::Block)
+        creditBlockStalls(1);
+    parked_at_ = now;
+    return true;
+}
+
+void
+CheckerNode::checkStillStalled(const bus::Beat &head) const
+{
+    const std::optional<Sid> sid = unit_->resolveSid(head.device);
+    if (park_ == Park::Miss) {
+        SIOPMP_ASSERT(!sid && unit_->configEpoch() == pending_miss_epoch_,
+                      "missed wake: parked SID-missing beat resolved");
+        return;
+    }
+    const bool hot = sid && *sid < unit_->cam().numRows();
+    SIOPMP_ASSERT(sid && *sid == parked_sid_ &&
+                      unit_->blockBitmap().blocked(*sid) &&
+                      (!hot || unit_->cam().useBit(*sid)),
+                  "missed wake: parked block stall no longer holds");
+}
+
+void
 CheckerNode::dispatchRequests(Cycle now)
 {
     if (!req_pipe_.ready(now))
         return;
     bus::Beat beat = req_pipe_.front();
+    if (park_ != Park::None && stayParked(beat, now))
+        return;
 
     // Finish draining a diverted write burst to the error node.
     if (diverting_txn_ && *diverting_txn_ == beat.txn &&
@@ -205,6 +276,10 @@ CheckerNode::dispatchRequests(Cycle now)
                                bus::kBeatBytes
                          : bus::kBeatBytes;
     const Perm perm = beat.requiredPerm();
+    // The stall state this poll reads. A park records it from before
+    // authorize(): an interrupt handler that mounts the device inside
+    // the raise must leave the node awake to see the mount.
+    const std::uint64_t gen = unit_->stallGeneration();
 
     // SID-missing handling: while the monitor mounts the device, poll
     // without re-raising the interrupt.
@@ -219,8 +294,9 @@ CheckerNode::dispatchRequests(Cycle now)
             // authorize again, re-raising SidMiss — otherwise two cold
             // devices trading the slot stall each other forever.
             pending_miss_.reset();
-            ++counter(st_sid_miss_rearms_, "sid_miss_rearms");
+            ++stats_.scalar(st_sid_miss_rearms_, "sid_miss_rearms");
         } else {
+            park(Park::Miss, kNoSid, now, gen);
             return; // still cold and unmounted; stall
         }
     }
@@ -232,7 +308,7 @@ CheckerNode::dispatchRequests(Cycle now)
       case AuthStatus::SidMiss:
         pending_miss_ = beat.device;
         pending_miss_epoch_ = unit_->configEpoch();
-        ++counter(st_sid_miss_stalls_, "sid_miss_stalls");
+        ++stats_.scalar(st_sid_miss_stalls_, "sid_miss_stalls");
         if (trace::on()) {
             trace::Event ev;
             ev.when = now;
@@ -243,10 +319,11 @@ CheckerNode::dispatchRequests(Cycle now)
             ev.addr = beat.addr;
             trace::emit(ev);
         }
+        park(Park::Miss, kNoSid, now, gen);
         return; // stall until mounted
 
       case AuthStatus::Blocked:
-        ++counter(st_block_stalls_, "block_stalls");
+        ++stats_.scalar(st_block_stalls_, "block_stalls");
         // Edge: open the §4.1 blocking window on the first stalled
         // cycle; traceResolved() closes it when the head resolves.
         if (!block_window_start_) {
@@ -264,10 +341,11 @@ CheckerNode::dispatchRequests(Cycle now)
                 trace::emit(ev);
             }
         }
+        park(Park::Block, auth.sid, now, gen);
         return; // per-SID block: stall (head of this device's stream)
 
       case AuthStatus::Deny:
-        ++counter(st_violations_, "violations");
+        ++stats_.scalar(st_violations_, "violations");
         if (policy_ == ViolationPolicy::BusError) {
             if (!err_->a.canPush())
                 return;
@@ -311,7 +389,7 @@ CheckerNode::dispatchRequests(Cycle now)
                              {beat.device, beat.addr, /*violated=*/false});
         }
         down_->a.push(beat);
-        ++counter(st_forwarded_, "beats_forwarded");
+        ++stats_.scalar(st_forwarded_, "beats_forwarded");
         req_pipe_.pop();
         if (block_window_start_ || trace::on())
             traceResolved(beat, now, "allow", auth.entry);
@@ -349,7 +427,7 @@ CheckerNode::forwardResponses(Cycle now)
             if (info->violated) {
                 beat.data = 0; // read clear
                 beat.masked = true;
-                ++counter(st_read_clears_, "read_clears");
+                ++stats_.scalar(st_read_clears_, "read_clears");
             }
             if (beat.last)
                 sid2addr_.release(beat.route, beat.txn);

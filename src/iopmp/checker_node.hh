@@ -17,6 +17,14 @@
  * limiting throughput — one beat still enters per cycle. The block-
  * state monitor (bus::BusMonitor) is updated at burst start/end so the
  * firmware's per-SID blocking can wait for pipeline drain.
+ *
+ * Stall parking (host-side only): a head beat that is SID-missing or
+ * block-stalled does not re-poll every cycle. The node parks it on the
+ * unit's stall wake list and sleeps until the unit's stall state
+ * changes, then polls for real on the cycle a per-cycle poll would
+ * first have seen the change. The polls it slept through are credited
+ * in bulk to the stall counters, so every stat, trace and cycle equals
+ * the polling model's.
  */
 
 #ifndef IOPMP_CHECKER_NODE_HH
@@ -49,6 +57,7 @@ class CheckerNode : public Tickable
     CheckerNode(std::string name, bus::Link *up, bus::Link *down,
                 bus::Link *err, SIopmp *unit, bus::BusMonitor *monitor,
                 ViolationPolicy policy);
+    ~CheckerNode() override;
 
     void evaluate(Cycle now) override;
     void advance(Cycle now) override;
@@ -105,6 +114,33 @@ class CheckerNode : public Tickable
     void dispatchRequests(Cycle now);
     void forwardResponses(Cycle now);
 
+    /** What the parked head beat waits for. */
+    enum class Park : std::uint8_t {
+        None,
+        Miss,  //!< its device to resolve, or the config epoch to move
+        Block, //!< its SID's block bit (or its SID binding) to change
+    };
+
+    /** Park the head beat on the unit's wake list after a stalled
+     * poll at @p now that read stall generation @p gen; @p sid is the
+     * blocked SID (Park::Block). */
+    void park(Park kind, Sid sid, Cycle now, std::uint64_t gen);
+
+    /**
+     * Head-beat step for a parked node at @p now: credit the polls
+     * slept through and return true while the stall holds; return false
+     * (unparked) once the unit's stall state changed, so the caller
+     * polls for real.
+     */
+    bool stayParked(const bus::Beat &head, Cycle now);
+
+    /** Re-derive the parked stall without side effects and assert it
+     * still holds: a failure is a mutation that bypassed the wake list. */
+    void checkStillStalled(const bus::Beat &head) const;
+
+    /** Count @p polls block-stalled polls of the head beat. */
+    void creditBlockStalls(std::uint64_t polls);
+
     Cycle requestDelay() const;
     Cycle responseDelay() const;
 
@@ -145,19 +181,18 @@ class CheckerNode : public Tickable
     //! stalled on its SID block bit; closed when the head resolves.
     std::optional<Cycle> block_window_start_;
 
-    /** Hot-path counter in @p slot, resolved on its first use:
-     * scalar() is a map lookup (block_stalls alone counts every cycle
-     * a head beat waits on its SID's block bit), while registering in
-     * the ctor would make quiet nodes emit all-zero stats groups. */
-    stats::Scalar &
-    counter(stats::Scalar *&slot, const char *stat_name)
-    {
-        if (slot == nullptr)
-            slot = &stats_.scalar(stat_name);
-        return *slot;
-    }
+    //! Parked head beat: what it waits for, the SID a block park
+    //! stalls on, the last cycle its stall was polled or credited, and
+    //! the unit's stall generation when it parked.
+    Park park_ = Park::None;
+    Sid parked_sid_ = kNoSid;
+    Cycle parked_at_ = 0;
+    std::uint64_t parked_gen_ = 0;
 
     stats::Group stats_;
+    //! Hot-path counters, resolved on first use (stats::Group::scalar):
+    //! block_stalls alone counts every cycle a head beat waits on its
+    //! SID's block bit.
     stats::Scalar *st_forwarded_ = nullptr;
     stats::Scalar *st_violations_ = nullptr;
     stats::Scalar *st_sid_miss_stalls_ = nullptr;

@@ -47,6 +47,7 @@ DeviceId2SidCam::set(Sid sid, DeviceId device)
     if (rows_[sid].valid)
         previous = rows_[sid].device;
     rows_[sid] = Row{true, true, device};
+    changed();
     return previous;
 }
 
@@ -56,6 +57,7 @@ DeviceId2SidCam::invalidate(DeviceId device)
     for (auto &row : rows_) {
         if (row.valid && row.device == device) {
             row = Row{};
+            changed();
             return true;
         }
     }
@@ -69,6 +71,7 @@ DeviceId2SidCam::invalidateSid(Sid sid)
     if (!rows_[sid].valid)
         return false;
     rows_[sid] = Row{};
+    changed();
     return true;
 }
 
@@ -80,7 +83,7 @@ DeviceId2SidCam::insertLru(DeviceId device, std::optional<DeviceId> *evicted)
 
     // Re-binding an already-present device is a no-op hit.
     if (auto sid = peek(device)) {
-        rows_[*sid].use = true;
+        rows_[*sid].use = true; // a touch, like lookup(): no report
         return *sid;
     }
 
@@ -91,6 +94,7 @@ DeviceId2SidCam::insertLru(DeviceId device, std::optional<DeviceId> *evicted)
     for (unsigned sid = 0; sid < rows_.size(); ++sid) {
         if (!rows_[sid].valid) {
             rows_[sid] = Row{true, false, device};
+            changed();
             return sid;
         }
     }
@@ -108,6 +112,9 @@ DeviceId2SidCam::insertLru(DeviceId device, std::optional<DeviceId> *evicted)
         if (evicted)
             *evicted = row.device;
         row = Row{true, false, device};
+        // One report covers the row write and the use bits the sweep
+        // cleared on its way here.
+        changed();
         return sid;
     }
     panic("clock algorithm failed to find a victim");
@@ -135,6 +142,7 @@ DeviceId2SidCam::reset()
     for (auto &row : rows_)
         row = Row{};
     hand_ = 0;
+    changed();
 }
 
 } // namespace iopmp

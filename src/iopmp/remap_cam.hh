@@ -12,7 +12,9 @@
 #define IOPMP_REMAP_CAM_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -61,12 +63,31 @@ class DeviceId2SidCam
     /** Device currently bound to @p sid, if any. */
     std::optional<DeviceId> deviceAt(Sid sid) const;
 
-    /** Use bit of row @p sid (tests). */
+    /** Use bit of row @p sid (tests, missed-wake checks). */
     bool useBit(Sid sid) const;
 
     void reset();
 
+    /**
+     * Call @p hook after every row write and every clock sweep
+     * (set/invalidate/insertLru/reset); a use-bit touch (lookup(), an
+     * insertLru() of a present device) does not fire it. SIopmp wakes
+     * the checker nodes parked on a stalled beat from here.
+     */
+    void
+    setChangeHook(std::function<void()> hook)
+    {
+        on_change_ = std::move(hook);
+    }
+
   private:
+    void
+    changed()
+    {
+        if (on_change_)
+            on_change_();
+    }
+
     struct Row {
         bool valid = false;
         bool use = false; //!< clock-algorithm reference bit
@@ -75,6 +96,7 @@ class DeviceId2SidCam
 
     std::vector<Row> rows_;
     unsigned hand_ = 0; //!< clock hand for the LRU sweep
+    std::function<void()> on_change_;
 };
 
 } // namespace iopmp

@@ -5,6 +5,8 @@
 
 #include "iopmp/siopmp.hh"
 
+#include <algorithm>
+
 #include "iopmp/accel.hh"
 #include "sim/logging.hh"
 
@@ -47,6 +49,10 @@ SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
     st_allows_ = &stats_.scalar("allows");
     st_denies_ = &stats_.scalar("denies");
     st_write_rejects_ = &stats_.scalar("mmio_write_rejects");
+    // Monitor, CPU and workload code mutate the CAM and block bits
+    // directly (cam(), blockBitmap()), not only over MMIO.
+    cam_.setChangeHook([this] { stallStateChanged(); });
+    blocks_.setChangeHook([this] { stallStateChanged(); });
 }
 
 void
@@ -55,6 +61,33 @@ SIopmp::setChecker(CheckerKind kind, unsigned stages)
     const AccelMode mode = checker_->accelMode();
     checker_ = makeChecker(kind, stages, entries_, mdcfg_);
     checker_->setAccelMode(mode);
+    // A new pipeline depth resizes the nodes' request pipes: a parked
+    // node waiting on pipe space must look again.
+    stallStateChanged();
+}
+
+void
+SIopmp::stallStateChanged()
+{
+    ++stall_gen_;
+    for (Tickable *node : parked_)
+        node->wake();
+    parked_.clear();
+}
+
+void
+SIopmp::unpark(Tickable *node)
+{
+    parked_.erase(std::remove(parked_.begin(), parked_.end(), node),
+                  parked_.end());
+}
+
+void
+SIopmp::creditBlockedPolls(std::uint64_t polls)
+{
+    const double n = static_cast<double>(polls);
+    *st_checks_ += n;
+    *st_blocked_ += n;
 }
 
 void

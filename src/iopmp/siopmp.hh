@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "iopmp/block.hh"
 #include "iopmp/checker.hh"
@@ -29,6 +30,7 @@
 #include "iopmp/violation.hh"
 #include "mem/mmio.hh"
 #include "sim/stats.hh"
+#include "sim/tickable.hh"
 #include "sim/types.hh"
 
 namespace siopmp {
@@ -93,6 +95,10 @@ class SIopmp : public mem::MmioDevice
 
     SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages);
 
+    //! The CAM and block-bitmap change hooks point back at this unit.
+    SIopmp(const SIopmp &) = delete;
+    SIopmp &operator=(const SIopmp &) = delete;
+
     // ---- data path -----------------------------------------------------
 
     /**
@@ -105,6 +111,34 @@ class SIopmp : public mem::MmioDevice
 
     /** Resolve a device to a SID without side effects (tests). */
     std::optional<Sid> resolveSid(DeviceId device) const;
+
+    // ---- stall wake list (host-side scheduling only) --------------------
+
+    /**
+     * Generation of the state a stalled beat polls: CAM rows (and the
+     * use bits a clock sweep clears), block bits, and the config epoch
+     * (eSID register, every MMIO config write). Bumped on each change
+     * of that state, whichever path made it — the CAM and bitmap
+     * report direct mutations through their change hooks.
+     */
+    std::uint64_t stallGeneration() const { return stall_gen_; }
+
+    /**
+     * Park @p node on the wake list: the next stall-generation bump
+     * wakes it (and empties the list), so a node whose head beat is
+     * SID-missing or block-stalled sleeps instead of re-polling.
+     */
+    void parkUntilStallChange(Tickable *node) { parked_.push_back(node); }
+
+    /** Drop @p node from the wake list (node destroyed). */
+    void unpark(Tickable *node);
+
+    /**
+     * Count @p polls block-stalled checks that a parked node slept
+     * through, exactly as authorize() would have counted them
+     * ("checks" and "blocked_stalls").
+     */
+    void creditBlockedPolls(std::uint64_t polls);
 
     // ---- architectural state -------------------------------------------
 
@@ -183,7 +217,15 @@ class SIopmp : public mem::MmioDevice
     void rejectWrite(Addr offset);
 
     /** Advance the configuration epoch after a mutating config path. */
-    void bumpEpoch() { ++config_epoch_; }
+    void
+    bumpEpoch()
+    {
+        ++config_epoch_;
+        stallStateChanged();
+    }
+
+    /** Bump the stall generation and wake every parked node. */
+    void stallStateChanged();
 
     IopmpConfig cfg_;
     EntryTable entries_;
@@ -207,6 +249,8 @@ class SIopmp : public mem::MmioDevice
     stats::Scalar *st_write_rejects_;
     std::uint64_t write_rejects_ = 0;
     std::uint64_t config_epoch_ = 0;
+    std::uint64_t stall_gen_ = 0;
+    std::vector<Tickable *> parked_; //!< woken by stallStateChanged()
 
     // MMIO staging for entry writes (base/size latched, cfg commits).
     struct EntryStage {

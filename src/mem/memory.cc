@@ -175,7 +175,7 @@ MemoryNode::acceptRequest(Cycle now)
         pr.first_beat_at = now + timing_.read_latency;
         reads_.push_back(pr);
         next_read_start_ = now + timing_.read_interval;
-        ++stats_.scalar("read_bursts");
+        ++stats_.scalar(st_read_bursts_, "read_bursts");
         if (trace::on()) {
             traceService(now, name().c_str(), trace::Phase::SpanBegin,
                          "read", req, timing_.read_latency);
@@ -191,7 +191,7 @@ MemoryNode::acceptRequest(Cycle now)
             return;
         data_port_used_ = true;
         backing_->write64(req.addr, req.data, req.strobe);
-        ++stats_.scalar("write_beats");
+        ++stats_.scalar(st_write_beats_, "write_beats");
         if (req.beat_idx == 0 && trace::on()) {
             traceService(now, name().c_str(), trace::Phase::SpanBegin,
                          "write", req, timing_.write_latency);
@@ -199,7 +199,7 @@ MemoryNode::acceptRequest(Cycle now)
         if (req.last) {
             acks_.push_back(
                 PendingAck{req, now + timing_.write_latency});
-            ++stats_.scalar("write_bursts");
+            ++stats_.scalar(st_write_bursts_, "write_bursts");
         }
         up_->a.pop();
         return;
@@ -238,7 +238,7 @@ MemoryNode::issueResponse(Cycle now)
             static_cast<Addr>(pr.next_beat) * bus::kBeatBytes;
         up_->d.push(bus::makeAckData(pr.req, pr.next_beat,
                                      backing_->read64(beat_addr)));
-        ++stats_.scalar("read_beats");
+        ++stats_.scalar(st_read_beats_, "read_beats");
         if (++pr.next_beat == pr.req.num_beats) {
             if (trace::on()) {
                 traceService(now, name().c_str(), trace::Phase::SpanEnd,

@@ -114,6 +114,11 @@ class MemoryNode : public Tickable
     std::deque<PendingAck> acks_;
     Cycle next_read_start_ = 0; //!< initiation-interval gate
     stats::Group stats_;
+    //! Hot-path stats, resolved on first use (stats::Group::scalar).
+    stats::Scalar *st_read_bursts_ = nullptr;
+    stats::Scalar *st_write_beats_ = nullptr;
+    stats::Scalar *st_write_bursts_ = nullptr;
+    stats::Scalar *st_read_beats_ = nullptr;
 };
 
 } // namespace mem

@@ -209,6 +209,38 @@ class Group
     Histogram &histogram(const std::string &stat_name, double lo,
                          double width, std::size_t nbuckets);
 
+    /**
+     * Hot-path forms: resolve @p slot on its first use, then return it.
+     * The plain lookup is a map find per call; registering up front in
+     * a constructor would make quiet components emit all-zero groups.
+     * Either way a stat registers at its first use, so the visit order
+     * does not change. Stat addresses are stable for the group's life.
+     */
+    Scalar &
+    scalar(Scalar *&slot, const char *stat_name)
+    {
+        if (slot == nullptr)
+            slot = &scalar(stat_name);
+        return *slot;
+    }
+
+    Average &
+    average(Average *&slot, const char *stat_name)
+    {
+        if (slot == nullptr)
+            slot = &average(stat_name);
+        return *slot;
+    }
+
+    Histogram &
+    histogram(Histogram *&slot, const char *stat_name, double lo,
+              double width, std::size_t nbuckets)
+    {
+        if (slot == nullptr)
+            slot = &histogram(stat_name, lo, width, nbuckets);
+        return *slot;
+    }
+
     const std::string &name() const { return name_; }
 
     /** True iff no stat has been registered yet (quiet component). */

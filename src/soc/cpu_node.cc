@@ -21,12 +21,12 @@ CpuNode::CpuNode(std::string name, fw::SecureMonitor *monitor,
 }
 
 bool
-CpuNode::quiescent(Cycle) const
+CpuNode::quiescent(Cycle now) const
 {
-    // A pending interrupt keeps the CPU hot even while busy_until_
-    // holds it inside the previous handler — it must poll until the
-    // handler retires and the next interrupt can be serviced.
-    return !monitor_->irqController().pending();
+    // Inside a handler the CPU sleeps even with an interrupt pending:
+    // evaluate() armed a timed wake for the cycle the handler retires
+    // when it began the handler.
+    return now + 1 < busy_until_ || !monitor_->irqController().pending();
 }
 
 void
@@ -40,6 +40,8 @@ CpuNode::evaluate(Cycle now)
     const Cycle cost = monitor_->serviceInterrupts(now);
     ++serviced_;
     busy_until_ = now + cost;
+    if (busy_until_ > now + 1)
+        sim_->events().scheduleWake(busy_until_, this); // see quiescent()
 
     // Model handler latency: the cold path stays blocked until the
     // handler retires. Hot SIDs are untouched (per-SID blocking).

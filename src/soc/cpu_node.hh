@@ -5,7 +5,9 @@
  * and the monitor-reported CPU cost is modelled as latency by holding
  * the cold SID blocked until the handler would have finished — so a
  * cold device's first DMA stalls for the full cold-switch latency
- * while hot devices keep running (§4.2, Fig 17).
+ * while hot devices keep running (§4.2, Fig 17). Inside a handler the
+ * CPU sleeps on a timed wake for the cycle the handler retires,
+ * interrupts pending or not.
  */
 
 #ifndef SOC_CPU_NODE_HH

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "bus/fifo.hh"
+#include "sim/simulator.hh"
 
 namespace siopmp {
 namespace bus {
@@ -113,6 +114,90 @@ TEST(Fifo, SettledCoversStagedAndReadableItems)
     EXPECT_FALSE(f.settled()); // readable
     f.pop();
     EXPECT_TRUE(f.settled());
+}
+
+TEST(Fifo, HasStagedSeesOnlyPushesAwaitingTheClock)
+{
+    Fifo<int> f(4);
+    EXPECT_FALSE(f.hasStaged());
+    f.push(1);
+    EXPECT_TRUE(f.hasStaged());
+    f.clock();
+    EXPECT_FALSE(f.hasStaged()); // readable now, nothing owed
+}
+
+/** Producer stand-in: always quiescent, so only a wake makes it
+ * active again after its first tick. */
+class SleepyProducer : public Tickable
+{
+  public:
+    SleepyProducer() : Tickable("producer") {}
+    void evaluate(Cycle) override {}
+    void advance(Cycle) override {}
+    bool quiescent(Cycle) const override { return true; }
+};
+
+class FifoProducerWake : public ::testing::Test
+{
+  protected:
+    FifoProducerWake()
+    {
+        sim.setFastForward(true); // retirement needs the scheduler
+        sim.add(&producer);
+        sim.run(2); // the producer retires: nothing wakes it yet
+    }
+
+    Simulator sim;
+    SleepyProducer producer;
+};
+
+TEST_F(FifoProducerWake, ClockThatFreesAFullFifoWakesTheProducer)
+{
+    ASSERT_FALSE(producer.active());
+    Fifo<int> f(2);
+    f.bindProducerWake(&producer);
+    f.push(1);
+    f.push(2);
+    ASSERT_FALSE(f.canPush());
+    f.clock(); // both readable; still full
+    EXPECT_FALSE(producer.active());
+    f.pop();
+    EXPECT_FALSE(producer.active()); // space frees at the clock edge
+    f.clock();
+    EXPECT_TRUE(f.canPush());
+    EXPECT_TRUE(producer.active());
+}
+
+TEST_F(FifoProducerWake, ClockWithoutPriorBackpressureDoesNotWake)
+{
+    Fifo<int> f(4);
+    f.bindProducerWake(&producer);
+    f.push(1);
+    f.clock();
+    f.pop();
+    f.clock(); // space grew, but the producer never saw the fifo full
+    EXPECT_FALSE(producer.active());
+}
+
+TEST_F(FifoProducerWake, PushesDoNotWakeTheProducer)
+{
+    Fifo<int> f(2);
+    f.bindProducerWake(&producer);
+    f.push(1);
+    EXPECT_FALSE(producer.active()); // bindWake() is the consumer's
+}
+
+TEST_F(FifoProducerWake, UnboundFifoWakesNobody)
+{
+    Fifo<int> f(1);
+    f.bindProducerWake(&producer);
+    f.bindProducerWake(nullptr);
+    f.push(1);
+    f.clock();
+    f.pop();
+    f.clock();
+    EXPECT_TRUE(f.canPush());
+    EXPECT_FALSE(producer.active());
 }
 
 TEST(FifoDeath, PushWhenFullAsserts)

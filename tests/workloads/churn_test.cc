@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "sim/stats.hh"
 #include "workloads/churn.hh"
 
 namespace siopmp {
@@ -138,6 +142,81 @@ TEST(Churn, ConcurrentColdMissesBothComplete)
     EXPECT_EQ(r.tenants_destroyed, 8u); // pre-fix: wedges at horizon
     EXPECT_GT(r.sid_miss_rearms, 0u);   // the fix actually engaged
     EXPECT_EQ(r.invariant_violations, 0u);
+}
+
+/** Stall counters of one run, summed over the Soc's checker nodes. */
+struct StallCounters {
+    std::uint64_t block_stalls = 0;   //!< checker*.block_stalls
+    std::uint64_t checks = 0;         //!< siopmp.checks
+    std::uint64_t blocked_stalls = 0; //!< siopmp.blocked_stalls
+};
+
+/** Run @p cfg and read its stall counters from the retired groups. */
+StallCounters
+runAndCountStalls(const ChurnConfig &cfg, ChurnResult *result)
+{
+    auto &registry = stats::Registry::global();
+    registry.clearRetired();
+    registry.setRetainRetired(true);
+    *result = runChurn(cfg);
+    registry.setRetainRetired(false);
+
+    struct Summer : stats::StatsVisitor {
+        StallCounters c;
+        void
+        visitScalar(const stats::Group &group, const std::string &name,
+                    const stats::Scalar &s) override
+        {
+            const auto v = static_cast<std::uint64_t>(s.value());
+            if (group.name().rfind("checker", 0) == 0 &&
+                name == "block_stalls")
+                c.block_stalls += v;
+            if (group.name() == "siopmp" && name == "checks")
+                c.checks += v;
+            if (group.name() == "siopmp" && name == "blocked_stalls")
+                c.blocked_stalls += v;
+        }
+        void visitAverage(const stats::Group &, const std::string &,
+                          const stats::Average &) override {}
+        void visitDistribution(const stats::Group &, const std::string &,
+                               const stats::Distribution &) override {}
+        void visitHistogram(const stats::Group &, const std::string &,
+                            const stats::Histogram &) override {}
+    } summer;
+    registry.accept(summer);
+    registry.clearRetired();
+    return summer.c;
+}
+
+/**
+ * Parked stalls are host-side scheduling only. Checker nodes sleep
+ * through block and SID-miss stalls and credit the polls they skip, so
+ * the polling model's counters must come out exactly — pinned here at
+ * the values the per-cycle polling checker produced for this cell
+ * (1,434 CAM evictions; stalls dominate its simulated time), under
+ * both schedulers. The naive loop also runs every parked node's
+ * missed-wake self-check on every cycle.
+ */
+TEST(Churn, ParkedStallsKeepPollingCounters)
+{
+    ChurnConfig cfg;
+    cfg.ports = 16;
+    cfg.devices = 64;
+    cfg.tenants = 400;
+    cfg.cold_fraction = 0.5;
+    cfg.seed = 10;
+    for (const bool fast_forward : {true, false}) {
+        SCOPED_TRACE(fast_forward ? "fast-forward" : "naive loop");
+        cfg.fast_forward = fast_forward;
+        ChurnResult r;
+        const StallCounters c = runAndCountStalls(cfg, &r);
+        EXPECT_EQ(r.fingerprint, 0x1fe65829ec07e85bULL);
+        EXPECT_EQ(r.cam_evictions, 1434u);
+        EXPECT_EQ(r.sid_miss_rearms, 5288u);
+        EXPECT_EQ(c.block_stalls, 1'782'216u);
+        EXPECT_EQ(c.checks, 1'789'302u);
+        EXPECT_EQ(c.blocked_stalls, 1'782'216u);
+    }
 }
 
 } // namespace

@@ -3,7 +3,10 @@
 # test suite, run sim_core_micro, checker_micro and churn_fleet with
 # small budgets, validate the BENCH_sim_core.json / BENCH_checker.json
 # / BENCH_churn.json schemas, and validate the Chrome trace-event
-# schema of a traced dma_attack_demo run.
+# schema of a traced dma_attack_demo run. churn_fleet writes to a
+# temporary file that must reproduce every fingerprint of the
+# committed BENCH_churn.json: a drifted churn cell fails the run (the
+# failure prints the command that re-emits the file on purpose).
 #
 # Usage: tools/run_bench.sh [build-dir] [iters] [mode]
 #        tools/run_bench.sh --sanitize [build-dir]
@@ -19,7 +22,10 @@
 # runs the plan-invalidation/accelerator tests and bounded
 # differential-fuzz campaigns — accel forced on, forced off, and the
 # mutation-heavy churn profile that stresses per-MD incremental
-# invalidation — under the sanitizers. It then configures a second,
+# invalidation — under the sanitizers, plus the tenant-churn workload
+# tests with fast-forward on and off (the naive loop runs every parked
+# checker node's missed-wake self-check on every cycle). It then
+# configures a second,
 # TSan-instrumented tree (build-tsan/, matching the tsan preset) and
 # runs the one multithreaded path left in the tree — siopmp_fuzz --jobs
 # sharding over the shared stats::Registry — plus the concurrent
@@ -72,6 +78,9 @@ if [ "${1:-}" = "--sanitize" ]; then
     echo "== tenant-churn workload leg (ASan+UBSan) =="
     cmake --build "$ASAN_DIR" -j --target test_workloads
     "$ASAN_DIR/tests/test_workloads" --gtest_filter='Churn.*'
+    echo "== tenant-churn workload leg, naive loop (ASan+UBSan) =="
+    SIOPMP_NO_FAST_FORWARD=1 "$ASAN_DIR/tests/test_workloads" \
+        --gtest_filter='Churn.*'
 
     echo "== configure + build (TSan) =="
     cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DSIOPMP_TSAN=ON
@@ -215,7 +224,10 @@ print("checker json schema OK (min speedup %.1fx; min churn@1:100 %.1fx)" %
 EOF
 
 echo "== churn_fleet (BENCH_churn.json) =="
-CHURN_JSON="$REPO_ROOT/BENCH_churn.json"
+COMMITTED_CHURN_JSON="$REPO_ROOT/BENCH_churn.json"
+CHURN_JSON="$(mktemp /tmp/siopmp_churn.XXXXXX.json)"
+TRACE_JSON="$(mktemp /tmp/siopmp_trace.XXXXXX.json)"
+trap 'rm -f "$CHURN_JSON" "$TRACE_JSON"' EXIT
 # The binary itself enforces the churn-rate gate (exits nonzero if the
 # headline point sustains < 1000 TEE/s).
 "$BUILD_DIR/bench/churn_fleet" "$CHURN_JSON"
@@ -266,9 +278,42 @@ print("churn json schema OK (headline %.0f TEE/s over %d points)" %
       (head["churn_per_sim_s"], len(series)))
 EOF
 
+echo "== BENCH_churn.json drift check =="
+# Churn cells are deterministic per seed: every cell must reproduce the
+# committed file's fingerprint. Without python3 the fingerprint lines
+# are compared in order.
+churn_drift=0
+if [ -n "$PYTHON" ]; then
+    "$PYTHON" - "$COMMITTED_CHURN_JSON" "$CHURN_JSON" <<'EOF' || churn_drift=1
+import json, sys
+old = json.load(open(sys.argv[1]))["series"]
+new = json.load(open(sys.argv[2]))["series"]
+key = ("tenants", "devices", "arrival_mean", "cold_fraction")
+drift = len(old) != len(new)
+for i, (a, b) in enumerate(zip(old, new)):
+    if [a[k] for k in key] != [b[k] for k in key] or \
+            a["fingerprint"] != b["fingerprint"]:
+        drift = True
+        print("churn cell %d drifted: committed %s fp=%s, now %s fp=%s" %
+              (i, [a[k] for k in key], a["fingerprint"],
+               [b[k] for k in key], b["fingerprint"]))
+assert not drift, "BENCH_churn.json fingerprints drifted"
+print("churn fingerprints OK (%d cells match the committed file)" % len(new))
+EOF
+else
+    diff <(grep -o '"fingerprint": "[0-9a-f]*"' "$COMMITTED_CHURN_JSON") \
+         <(grep -o '"fingerprint": "[0-9a-f]*"' "$CHURN_JSON") ||
+        churn_drift=1
+    [ "$churn_drift" = 1 ] || echo "churn fingerprints OK (grep-only)"
+fi
+if [ "$churn_drift" = 1 ]; then
+    echo "churn drift: if the change is intended, re-emit the file with" >&2
+    echo "  $BUILD_DIR/bench/churn_fleet $COMMITTED_CHURN_JSON" >&2
+    echo "and explain the moved fingerprints in CHANGES.md." >&2
+    exit 1
+fi
+
 echo "== trace schema check (dma_attack_demo --trace) =="
-TRACE_JSON="$(mktemp /tmp/siopmp_trace.XXXXXX.json)"
-trap 'rm -f "$TRACE_JSON"' EXIT
 "$BUILD_DIR/examples/dma_attack_demo" "$TRACE_JSON" > /dev/null
 
 if [ -n "$PYTHON" ]; then
